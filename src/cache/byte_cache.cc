@@ -36,19 +36,6 @@ void ByteCache::on_evict(const CachedPacket& pkt, EvictReason reason) {
   }
 }
 
-void ByteCache::readmit(std::uint64_t id, util::BytesView payload,
-                        const PacketMeta& meta,
-                        const std::vector<rabin::Fingerprint>& fps,
-                        std::span<const DemotedFp> owned) {
-  store_.reinsert(id, payload, meta, fps);
-  // The promoted packet owned these entries in the L2 index, which means
-  // no newer packet took them (an update() overwriting a fingerprint
-  // erases the L2 side, see CacheTier::update) — so the slots are free.
-  for (const DemotedFp& o : owned) {
-    table_.put(o.fp, FpEntry{id, o.offset});
-  }
-}
-
 std::uint64_t ByteCache::update(util::BytesView payload,
                                 const std::vector<rabin::Anchor>& anchors,
                                 const PacketMeta& meta) {
@@ -66,7 +53,7 @@ std::optional<CacheHit> ByteCache::find(rabin::Fingerprint fp) {
   ++stats_.lookups;
   auto entry = table_.get(fp);
   if (!entry) return std::nullopt;
-  const CachedPacket* pkt = store_.lookup(entry->packet_id);
+  const CachedPacket* pkt = store_.peek(entry->packet_id);
   if (pkt == nullptr) {
     // Unreachable while the eviction purge holds (see audit), but kept:
     // a stale entry must never serve a hit.
@@ -89,7 +76,7 @@ std::optional<CacheHit> ByteCache::resolve(rabin::Fingerprint fp,
   // Mirrors find() step for step; the probe replaces only the table get.
   ++stats_.lookups;
   if (!probe.found) return std::nullopt;
-  const CachedPacket* pkt = store_.lookup(probe.entry.packet_id);
+  const CachedPacket* pkt = store_.peek(probe.entry.packet_id);
   if (pkt == nullptr) {
     // Unreachable while the eviction purge holds (see audit), but kept:
     // a stale entry must never serve a hit.  (If the same stale

@@ -7,10 +7,11 @@
 // fingerprint hit whose packet has nevertheless vanished is treated as a
 // miss and lazily erased (defense in depth).  Encoder and decoder run the
 // *identical* cache-update procedure over the same (original) payload
-// bytes, so as long as packets are delivered in order and undamaged the
-// two caches evolve in lockstep — the paper's core synchronization
-// assumption, and exactly what loss/reorder/corruption breaks
-// (Section IV).
+// bytes, and a lookup never changes cache contents or eviction order —
+// the encoder looks up anchors the decoder never asks about — so as long
+// as packets are delivered in order and undamaged the two caches evolve
+// in lockstep: the paper's core synchronization assumption, and exactly
+// what loss/reorder/corruption breaks (Section IV).
 #pragma once
 
 #include <cstdint>
@@ -106,20 +107,22 @@ class ByteCache final : private EvictionListener {
                        const PacketMeta& meta);
 
   /// Fingerprint lookup with lazy invalidation.  Returns nullopt on miss.
+  /// Touches only the statistics (and erases an unreachable stale
+  /// entry): cache contents and eviction order never change on a read.
   [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp);
 
   /// Batched-probe front half of find(): probes every anchor's
   /// fingerprint with slot prefetch (FingerprintTable::probe_batch) and
-  /// resizes `out` to anchors.size().  Side-effect free — no statistics,
-  /// no LRU touch — so probing anchors the match loop later skips cannot
-  /// perturb eviction order or counters.
+  /// resizes `out` to anchors.size().  Side-effect free — not even
+  /// statistics — so probing anchors the match loop later skips cannot
+  /// perturb the counters.
   void probe_batch(std::span<const rabin::Anchor> anchors,
                    std::vector<ProbeResult>& out) const;
 
   /// Back half: resolves one probed anchor with exactly find()'s
-  /// statistics, LRU-touch, and stale-erase sequence, so a
-  /// probe_batch+resolve loop is observably identical to per-anchor
-  /// find() calls in the same order.  `fp` must be the fingerprint the
+  /// statistics and stale-erase sequence, so a probe_batch+resolve loop
+  /// is observably identical to per-anchor find() calls in the same
+  /// order.  `fp` must be the fingerprint the
   /// probe was issued for.
   [[nodiscard]] std::optional<CacheHit> resolve(rabin::Fingerprint fp,
                                                 const ProbeResult& probe);
@@ -179,17 +182,6 @@ class ByteCache final : private EvictionListener {
   /// Registers the L1 -> L2 demotion hook (at most one; nullptr
   /// detaches).  Only budget evictions are offered for demotion.
   void set_demote_sink(DemoteSink* sink) { demote_sink_ = sink; }
-
-  /// Re-admits a packet promoted back from the L2 at the MRU end under
-  /// its original id.  `fps` is the packet's recorded fingerprint list
-  /// (for the future eviction purge); `owned` are the entries the L2
-  /// index still attributed to it, which re-enter the L1 table.  May
-  /// evict (and therefore demote) LRU entries.  Statistics are not
-  /// touched: promotion is tier bookkeeping, not a paper cache event.
-  void readmit(std::uint64_t id, util::BytesView payload,
-               const PacketMeta& meta,
-               const std::vector<rabin::Fingerprint>& fps,
-               std::span<const DemotedFp> owned);
 
   [[nodiscard]] bool has_fingerprint(rabin::Fingerprint fp) const {
     return table_.get(fp).has_value();

@@ -1,34 +1,25 @@
 // Construction surface of the cache subsystem.
 //
 // One struct describes every cache a codec owns: the hot per-shard L1
-// (the slab/LRU PacketStore + FingerprintTable pair), the optional large
+// (the slab PacketStore + FingerprintTable pair), the optional large
 // shared L2 behind it (cache/l2_store.h), the per-host-pair admission
-// budget inside the L2, the eviction policy, and how snapshots are
-// taken.  Replaces the former positional byte-budget constructors
-// (`ByteCache(std::size_t)`, `PacketStore(std::size_t)`): every knob is
-// named, a config travels through core::GatewayConfig unchanged, and an
-// encoder-side/decoder-side pair built from the same config is
-// guaranteed to run identical cache rules — the lockstep requirement.
+// budget inside the L2, and how snapshots are taken.  Replaces the
+// former positional byte-budget constructors (`ByteCache(std::size_t)`,
+// `PacketStore(std::size_t)`): every knob is named, a config travels
+// through core::GatewayConfig unchanged, and an encoder-side/decoder-side
+// pair built from the same config is guaranteed to run identical cache
+// rules — the lockstep requirement.
+//
+// There is deliberately no eviction-policy knob: a cache hit never
+// changes cache state, and both tiers evict in insertion order, so the
+// only inputs to eviction are the update/invalidate/flush calls that
+// encoder and decoder run identically.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace bytecache::cache {
-
-/// Victim selection for the L2 tier (the L1 stays pure LRU — its
-/// eviction order is part of the pinned wire-byte behavior).
-enum class EvictionPolicy : std::uint8_t {
-  /// Least-recently-used, the default: with l2_bytes == 0 this is
-  /// bit-identical to the pre-tier flat cache.
-  kLru,
-  /// Frequency-aware (CLFU-style, for Zipf-shaped popularity): eviction
-  /// scans a bounded window from the cold end, skips entries with a
-  /// nonzero hit count (halving it, so staleness decays), and evicts the
-  /// least-hit candidate.  Deterministic — no clocks, no randomness —
-  /// so paired gateways still evolve in lockstep.
-  kZipfAware,
-};
 
 /// How CacheTier::save emits snapshots.
 enum class SnapshotMode : std::uint8_t {
@@ -54,9 +45,6 @@ struct CacheConfig {
   /// many bytes evicts its own coldest packets to admit new ones — never
   /// its neighbors' (0 = no per-pair budget).
   std::size_t per_host_pair_bytes = 0;
-
-  /// L2 victim selection.
-  EvictionPolicy eviction = EvictionPolicy::kLru;
 
   /// Snapshot strategy for CacheTier::save.
   SnapshotMode snapshot_mode = SnapshotMode::kFull;

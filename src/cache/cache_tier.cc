@@ -21,27 +21,9 @@ void CacheTier::on_demote(const CachedPacket& pkt,
   stripe_->admit(pkt, owned);
 }
 
-void CacheTier::apply_promotions() {
-  for (std::uint64_t id : promote_queue_) {
-    owned_scratch_.clear();
-    // The packet can have left the stripe since the hit (host-budget or
-    // share eviction triggered by a later demotion): nothing to promote.
-    if (!stripe_->take(id, taken_, owned_scratch_)) continue;
-    l1_.readmit(id, taken_.payload, taken_.meta, taken_.fps,
-                owned_scratch_);
-    ++stripe_->stats().promotions;
-  }
-  promote_queue_.clear();
-}
-
 std::uint64_t CacheTier::update(util::BytesView payload,
                                 const std::vector<rabin::Anchor>& anchors,
                                 const PacketMeta& meta) {
-  // Promotions first: the hits happened before this packet arrived, so
-  // the promoted entries slot in just below it in recency — and their
-  // demotion fallout lands before the fresh insert, keeping the insert's
-  // own eviction decisions identical on both sides of the link.
-  if (stripe_ != nullptr && !promote_queue_.empty()) apply_promotions();
   journal_update(payload, anchors, meta);
   const std::uint64_t id = l1_.update(payload, anchors, meta);
   if (stripe_ != nullptr) {
@@ -60,33 +42,20 @@ std::uint64_t CacheTier::update(util::BytesView payload,
 std::optional<CacheHit> CacheTier::find(rabin::Fingerprint fp) {
   auto hit = l1_.find(fp);
   if (hit.has_value() || stripe_ == nullptr) return hit;
-  bool enqueue = false;
-  auto l2 = stripe_->find(fp, enqueue);
-  if (l2.has_value() && enqueue) {
-    promote_queue_.push_back(l2->packet->id);
-  }
-  return l2;
+  return stripe_->find(fp);
 }
 
 std::optional<CacheHit> CacheTier::resolve(rabin::Fingerprint fp,
                                            const ProbeResult& probe) {
   auto hit = l1_.resolve(fp, probe);
   if (hit.has_value() || stripe_ == nullptr) return hit;
-  bool enqueue = false;
-  auto l2 = stripe_->find(fp, enqueue);
-  if (l2.has_value() && enqueue) {
-    promote_queue_.push_back(l2->packet->id);
-  }
-  return l2;
+  return stripe_->find(fp);
 }
 
 void CacheTier::flush() {
   journal_op(kOpFlush, 0);
   l1_.flush();
-  if (stripe_ != nullptr) {
-    stripe_->clear();
-    promote_queue_.clear();
-  }
+  if (stripe_ != nullptr) stripe_->clear();
 }
 
 bool CacheTier::invalidate(rabin::Fingerprint fp) {
@@ -106,8 +75,8 @@ void CacheTier::audit() const {
   stripe_->audit();
   if (!util::kAuditEnabled) return;
   // Cross-tier exclusivity: update() unindexes freshly owned
-  // fingerprints from the L2 and promotion/demotion move a packet
-  // wholesale, so no fingerprint or packet id may appear in both tiers.
+  // fingerprints from the L2 and demotion moves a packet wholesale, so
+  // no fingerprint or packet id may appear in both tiers.
   stripe_->for_each_fingerprint([&](std::uint64_t fp, const FpEntry& e) {
     BC_AUDIT(!l1_.has_fingerprint(fp))
         << "fingerprint " << fp << " indexed in both tiers (L2 owner "
@@ -177,7 +146,6 @@ void CacheTier::save_incremental(SnapshotWriter& w) {
 bool CacheTier::reject(SnapshotReader& r) {
   l1_.flush();
   if (stripe_ != nullptr) stripe_->clear();
-  promote_queue_.clear();
   journal_reset();
   journal_overflow_ = true;
   seq_ = 0;
@@ -203,7 +171,6 @@ bool CacheTier::load_flat(SnapshotReader& r) {
   // A flat snapshot is the complete state: whatever the stripe held is
   // gone, and legacy snapshots carry no state version.
   if (stripe_ != nullptr) stripe_->clear();
-  promote_queue_.clear();
   seq_ = 0;
   journal_reset();
   journal_overflow_ = config_.snapshot_mode != SnapshotMode::kIncremental;
@@ -233,7 +200,6 @@ bool CacheTier::load_tier(SnapshotReader& r) {
   } else if (stripe_ != nullptr) {
     stripe_->clear();
   }
-  promote_queue_.clear();
   seq_ = seq;
   journal_reset();
   journal_overflow_ = config_.snapshot_mode != SnapshotMode::kIncremental;
@@ -306,7 +272,6 @@ bool CacheTier::load_incremental(SnapshotReader& r) {
   }
   replaying_ = false;
   if (!br.at_end()) return reject(r);
-  promote_queue_.clear();
   seq_ = base + 1;
   journal_reset();
   journal_overflow_ = config_.snapshot_mode != SnapshotMode::kIncremental;

@@ -11,15 +11,15 @@
 //   - L1 budget evictions demote into the stripe (DemoteSink), carrying
 //     the fingerprints the evicted packet still owned into the L2 index.
 //   - A lookup missing the L1 falls through to the stripe; an L2 hit
-//     serves the match immediately and enqueues the packet for deferred
-//     promotion, applied at the next update() so the re-insertion lands
-//     just below the incoming packet in recency — and never mutates the
-//     L1 mid-match-loop.
+//     serves the match in place and moves nothing (no promotion).
 //   - update() erases the freshly indexed fingerprints from the L2 index
 //     (ownership follows the newest packet), preserving the invariant
 //     that every fingerprint resolves in exactly one tier and every
-//     packet id is resident in exactly one tier — which is what makes
-//     promotion's unconditional re-indexing safe.  audit() checks both.
+//     packet id is resident in exactly one tier.  audit() checks both.
+//
+// Lockstep by construction: probe_batch/resolve/find change only
+// statistics counters, so cache contents and eviction order move only
+// through update/invalidate/flush, which encoder and decoder run alike.
 //
 // Snapshots: save()/load() emit the legacy flat "BCC1" block when no L2
 // is attached (byte-identical to the pre-tier persist format) and the
@@ -52,20 +52,20 @@ class CacheTier final : private DemoteSink {
   CacheTier& operator=(const CacheTier&) = delete;
 
   /// The cache-update procedure (paper Fig. 2 C) plus tier maintenance:
-  /// queued promotions apply first (in hit order), then the L1 update,
-  /// then the new anchors are unindexed from the L2 (ownership moved),
-  /// and the stripe's epoch boundary runs (budget eviction + limbo).
+  /// the L1 update (whose budget evictions demote), then the new anchors
+  /// are unindexed from the L2 (ownership moved), and the stripe's epoch
+  /// boundary runs (budget eviction + limbo).
   std::uint64_t update(util::BytesView payload,
                        const std::vector<rabin::Anchor>& anchors,
                        const PacketMeta& meta);
 
   /// L1 lookup, falling through to the L2 on miss.  An L2 hit is served
-  /// from the stripe (pointers valid through this packet's update) and
-  /// promoted at the next update().
+  /// from the stripe (pointers valid through this packet's update).
+  /// Changes only statistics counters.
   [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp);
 
   /// Batched L1 probe (see ByteCache::probe_batch); the L2 fallthrough
-  /// happens in resolve(), so a probe stays side-effect free.
+  /// happens in resolve().
   void probe_batch(std::span<const rabin::Anchor> anchors,
                    std::vector<ProbeResult>& out) const {
     l1_.probe_batch(anchors, out);
@@ -143,9 +143,6 @@ class CacheTier final : private DemoteSink {
   void on_demote(const CachedPacket& pkt,
                  std::span<const DemotedFp> owned) override;
 
-  /// Applies the queued L2 -> L1 promotions in hit order.
-  void apply_promotions();
-
   void journal_update(util::BytesView payload,
                       const std::vector<rabin::Anchor>& anchors,
                       const PacketMeta& meta);
@@ -164,12 +161,6 @@ class CacheTier final : private DemoteSink {
   ByteCache l1_;
   L2Store::Stripe* stripe_ = nullptr;  // owned by the shared L2Store
   CacheConfig config_;
-
-  /// Ids awaiting promotion, in first-hit order; applied at update().
-  std::vector<std::uint64_t> promote_queue_;
-  /// Reused per-promotion scratch (owned fingerprints out of the L2).
-  std::vector<DemotedFp> owned_scratch_;
-  L2Store::Stripe::Taken taken_;
 
   // Incremental-snapshot journal (SnapshotMode::kIncremental only).
   SnapshotWriter journal_;

@@ -65,7 +65,7 @@ class FingerprintTable {
   /// While probing anchor N the table issues a prefetch for anchor
   /// N+kProbeAhead's home slot, so the encoder's anchor->match loop pays
   /// one L1 hit per probe instead of one cache miss each.  Side-effect
-  /// free: no stats, no LRU touch — the caller resolves hits through
+  /// free: no stats — the caller resolves hits through
   /// ByteCache::resolve in its own order.  Requires out.size() >=
   /// anchors.size().
   void probe_batch(std::span<const rabin::Anchor> anchors,

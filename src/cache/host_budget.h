@@ -1,13 +1,13 @@
 // Per-host-pair byte accounting for the L2 tier (cache/l2_store.h).
 //
 // The ROADMAP's million-user scenario fails exactly when one elephant
-// host pair is allowed to evict everyone: a flat LRU shares one budget,
+// host pair is allowed to evict everyone: a flat cache shares one budget,
 // so a single high-churn pair cycles the whole cache and every mouse's
 // hit rate collapses.  The ledger tracks bytes per unordered IP endpoint
 // pair (core::host_key_of, carried in PacketMeta::host_key) and the head
-// and tail of each pair's intrusive recency chain through the L2 slots,
-// so admission control can evict *that pair's own* coldest packets — and
-// only ever that pair's — when it runs over its budget.
+// and tail of each pair's intrusive insertion-order chain through the L2
+// slots, so admission control can evict *that pair's own* oldest packets
+// — and only ever that pair's — when it runs over its budget.
 //
 // Backed by FlatMap64 (no per-entry allocation on the demotion path);
 // idle pairs are erased as soon as their last packet leaves, so the
@@ -23,8 +23,8 @@ namespace bytecache::cache {
 struct HostEntry {
   /// Payload bytes this pair currently holds in the stripe.
   std::size_t bytes = 0;
-  /// Per-pair recency chain through the stripe's slots (kNil-terminated;
-  /// head = warmest, tail = coldest).  The slot links themselves live in
+  /// Per-pair insertion-order chain through the stripe's slots
+  /// (kNil-terminated; head = newest, tail = oldest).  The slot links themselves live in
   /// the stripe (L2Store::Slot::{host_prev,host_next}).
   std::uint32_t head = 0xFFFFFFFFu;
   std::uint32_t tail = 0xFFFFFFFFu;

@@ -31,15 +31,13 @@ std::uint32_t L2Store::Stripe::acquire_slot() {
 void L2Store::Stripe::retire_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   // The slice is parked, not freed: payload views handed out this packet
-  // (match expansion, promotion copy) stay readable until end_packet().
+  // (match expansion) stay readable until end_packet().
   limbo_.push_back(s.slice);
   s.slice = SliceArena::Slice{};
   s.pkt.payload = PayloadView{};
   s.pkt.fps.clear();  // keeps heap capacity for the next occupant
   s.pkt.id = 0;
   s.pkt.meta = PacketMeta{};
-  s.hit_count = 0;
-  s.promote_pending = false;
   s.live = false;
   free_.push_back(slot);
 }
@@ -103,18 +101,6 @@ void L2Store::Stripe::host_unlink(std::uint32_t slot) {
   s.host_prev = s.host_next = kNil;
 }
 
-void L2Store::Stripe::touch(std::uint32_t slot) {
-  if (head_ != slot) {
-    unlink(slot);
-    link_front(slot);
-  }
-  const HostEntry* e = hosts_.find(slots_[slot].pkt.meta.host_key);
-  if (e != nullptr && e->head != slot) {
-    host_unlink(slot);
-    host_link_front(slot);
-  }
-}
-
 std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   const std::uint64_t id = s.pkt.id;
@@ -144,53 +130,17 @@ std::size_t L2Store::Stripe::evict_slot(std::uint32_t slot) {
   return purged;
 }
 
-std::uint32_t L2Store::Stripe::pick_victim() {
-  if (config_.eviction == EvictionPolicy::kLru) return tail_;
-  // kZipfAware: give recently *hit* packets a second chance — scan a
-  // bounded window from the cold end, evicting the first zero-hit packet
-  // (or the least-hit one in the window), and halve the counts we skip so
-  // a once-hot packet cannot pin its slot forever.  The scan depends only
-  // on cache state, so encoder and decoder pick identical victims.
-  std::uint32_t best = tail_;
-  std::uint32_t best_count = 0xFFFFFFFFu;
-  std::uint32_t scanned = 0;
-  for (std::uint32_t s = tail_; s != kNil && scanned < kZipfScan;
-       ++scanned) {
-    const std::uint32_t prev = slots_[s].prev;
-    const std::uint32_t c = slots_[s].hit_count;
-    if (c == 0) return s;
-    if (c < best_count) {
-      best_count = c;
-      best = s;
-    }
-    slots_[s].hit_count = c >> 1;
-    s = prev;
-  }
-  return best;
-}
-
-std::optional<CacheHit> L2Store::Stripe::find(rabin::Fingerprint fp,
-                                              bool& enqueue_promotion) {
-  enqueue_promotion = false;
+std::optional<CacheHit> L2Store::Stripe::find(rabin::Fingerprint fp) {
   const FpEntry* e = fp_index_.find(fp);
   if (e == nullptr) return std::nullopt;
-  const std::uint16_t offset = e->offset;
   const std::uint32_t* slotp = id_index_.find(e->packet_id);
   // The eviction purge keeps the index free of stale entries (audit), so
   // an orphaned entry is corruption, not a miss.
   BC_CHECK(slotp != nullptr)
       << "L2 index entry for fingerprint " << fp << " names absent packet "
       << e->packet_id;
-  const std::uint32_t slot = *slotp;
-  touch(slot);
-  Slot& s = slots_[slot];
-  if (s.hit_count != 0xFFFFFFFFu) ++s.hit_count;
-  if (!s.promote_pending) {
-    s.promote_pending = true;
-    enqueue_promotion = true;
-  }
   ++stats_.l2_hits;
-  return CacheHit{&s.pkt, offset};
+  return CacheHit{&slots_[*slotp].pkt, e->offset};
 }
 
 void L2Store::Stripe::admit(const CachedPacket& pkt,
@@ -209,7 +159,7 @@ void L2Store::Stripe::admit(const CachedPacket& pkt,
       ++stats_.demotions_rejected;
       return;
     }
-    // Over-budget pairs evict their OWN coldest packets — never a
+    // Over-budget pairs evict their OWN oldest packets — never a
     // neighbour's — so one elephant pair cannot churn out the mice.
     while (true) {
       HostEntry* e = hosts_.find(host);
@@ -252,37 +202,6 @@ void L2Store::Stripe::admit(const CachedPacket& pkt,
   // end_packet() so nothing this packet referenced is freed under it.
 }
 
-bool L2Store::Stripe::take(std::uint64_t id, Taken& out,
-                           std::vector<DemotedFp>& owned_out) {
-  const std::uint32_t* slotp = id_index_.find(id);
-  if (slotp == nullptr) return false;
-  const std::uint32_t slot = *slotp;
-  Slot& s = slots_[slot];
-  for (rabin::Fingerprint fp : s.pkt.fps) {
-    const FpEntry* e = fp_index_.find(fp);
-    if (e != nullptr && e->packet_id == id) {
-      owned_out.push_back(DemotedFp{fp, e->offset});
-      fp_index_.erase(fp);
-    }
-  }
-  out.payload = s.pkt.payload;  // backed by the limbo'd slice
-  out.meta = s.pkt.meta;
-  out.fps = std::move(s.pkt.fps);
-  bytes_used_ -= s.pkt.payload.size();
-  unlink(slot);
-  const std::uint64_t key = s.pkt.meta.host_key;
-  const std::size_t len = s.pkt.payload.size();
-  host_unlink(slot);
-  HostEntry* he = hosts_.find(key);
-  BC_CHECK(he != nullptr && he->bytes >= len)
-      << "host ledger under-accounts pair " << key;
-  he->bytes -= len;
-  hosts_.release_if_idle(key);
-  id_index_.erase(id);
-  retire_slot(slot);
-  return true;
-}
-
 void L2Store::Stripe::unindex(std::span<const rabin::Anchor> anchors) {
   for (const rabin::Anchor& a : anchors) {
     fp_index_.erase(a.fp);
@@ -304,7 +223,7 @@ void L2Store::Stripe::end_packet() {
   // Never evicts the sole resident (admit() already bounds any single
   // packet by the share, so the loop terminates regardless).
   while (bytes_used_ > share_ && head_ != tail_) {
-    stats_.l2_fingerprints_purged += evict_slot(pick_victim());
+    stats_.l2_fingerprints_purged += evict_slot(tail_);
     ++stats_.l2_evictions;
   }
   for (const SliceArena::Slice& s : limbo_) arena_.free(s);
@@ -323,8 +242,6 @@ void L2Store::Stripe::clear() {
     slot.pkt.meta = PacketMeta{};
     slot.prev = slot.next = kNil;
     slot.host_prev = slot.host_next = kNil;
-    slot.hit_count = 0;
-    slot.promote_pending = false;
     slot.live = false;
     free_.push_back(s);
     s = next;
@@ -348,8 +265,7 @@ void L2Store::Stripe::save(SnapshotWriter& w) const {
   w.u32(kSnapMagicL2);
   w.u32(static_cast<std::uint32_t>(size()));
   for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    const Slot& slot = slots_[s];
-    const CachedPacket& p = slot.pkt;
+    const CachedPacket& p = slots_[s].pkt;
     w.u64(p.id);
     w.u64(p.meta.flow_key);
     w.u64(p.meta.src_uid);
@@ -359,7 +275,7 @@ void L2Store::Stripe::save(SnapshotWriter& w) const {
     w.u32(p.meta.epoch);
     w.u8(p.meta.has_tcp_seq ? 1 : 0);
     w.u64(p.meta.host_key);
-    w.u32(slot.hit_count);
+    w.u32(0);  // formerly a hit count; kept for layout compatibility
     w.u32(static_cast<std::uint32_t>(p.payload.size()));
     w.bytes(p.payload);
     // Two passes over the (short) fingerprint list instead of a scratch
@@ -400,7 +316,7 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     meta.epoch = r.u32();
     meta.has_tcp_seq = r.u8() != 0;
     meta.host_key = r.u64();
-    const std::uint32_t hit_count = r.u32();
+    (void)r.u32();  // formerly a hit count: ignored (see save())
     const std::uint32_t len = r.u32();
     const util::BytesView payload = r.bytes(len);
     if (!r.ok() || id == 0 || id_index_.find(id) != nullptr) {
@@ -414,11 +330,10 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     s.pkt.payload = PayloadView{s.slice.data, len};
     s.pkt.meta = meta;
     s.pkt.fps.clear();
-    s.hit_count = hit_count;
     s.live = true;
     bytes_used_ += len;
-    // Snapshots walk MRU to LRU, so appending at the cold end preserves
-    // both the global and the per-host recency orders.
+    // Snapshots walk newest to oldest, so appending at the old end
+    // preserves both the global and the per-host insertion orders.
     link_back(slot);
     host_link_back(slot);
     hosts_.find(meta.host_key)->bytes += len;
@@ -451,7 +366,7 @@ bool L2Store::Stripe::load(SnapshotReader& r) {
     }
   }
   while (bytes_used_ > share_ && head_ != tail_) {
-    evict_slot(pick_victim());
+    evict_slot(tail_);
   }
   // No payload view is outstanding during a restore; free limbo now.
   for (const SliceArena::Slice& s : limbo_) arena_.free(s);

@@ -14,19 +14,18 @@
 // (paper Section IV).
 //
 // Reclamation is epoch-deferred: every byte released during one packet's
-// processing (promotion take-out, budget eviction, admission eviction)
-// parks its arena slice on a limbo list and is freed only at the
-// end-of-packet epoch boundary (Stripe::end_packet), so any payload
-// pointer the match loop obtained this packet stays readable with no
-// reference counting and no synchronization.
+// processing (budget eviction, admission eviction) parks its arena slice
+// on a limbo list and is freed only at the end-of-packet epoch boundary
+// (Stripe::end_packet), so any payload pointer the match loop obtained
+// this packet stays readable with no reference counting and no
+// synchronization.
 //
 // Admission control: a demoted packet charges its host pair
 // (PacketMeta::host_key); a pair over per_host_pair_bytes evicts its own
-// coldest packets first — never its neighbors' — and a packet larger
+// oldest packets first — never its neighbors' — and a packet larger
 // than the pair budget (or the stripe share) is rejected outright.
-// Victim selection for stripe-share eviction goes through the eviction
-// policy seam: pure LRU by default, or the deterministic frequency-aware
-// kZipfAware scan (cache/cache_config.h).
+// Stripe-share eviction takes the oldest-admitted packet; a hit changes
+// only the l2_hits counter, so encoder and decoder pick identical victims.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +49,10 @@ namespace bytecache::cache {
 /// surfaced as "encoder.cache.tier.*" / "decoder.cache.tier.*").
 struct TierStats {
   std::uint64_t l2_hits = 0;         // lookups served from the L2
-  std::uint64_t promotions = 0;      // L2 -> L1 (on hit, deferred)
+  /// Always 0: an L2 hit serves the match in place and never moves the
+  /// packet back to the L1.  Kept so counter readers and metric names
+  /// stay stable.
+  std::uint64_t promotions = 0;
   std::uint64_t demotions = 0;       // L1 -> L2 admission attempts
   std::uint64_t demotions_rejected = 0;  // refused by admission control
   std::uint64_t l2_evictions = 0;    // stripe-share budget evictions
@@ -83,17 +85,15 @@ class L2Store {
    public:
     Stripe(const CacheConfig& config, std::size_t share_bytes);
 
-    // The global recency chain holds raw slot indices; relocation would
-    // orphan them (and the demote sink caches the pointer).
+    // The global chain holds raw slot indices; relocation would orphan
+    // them (and the demote sink caches the pointer).
     Stripe(const Stripe&) = delete;
     Stripe& operator=(const Stripe&) = delete;
 
-    /// L2 lookup: touches the packet's global and per-host recency, bumps
-    /// its hit count, and — the first time in its current L2 residence —
-    /// sets `enqueue_promotion` so the tier queues it for deferred
-    /// promotion.  The returned pointers stay valid until end_packet().
-    [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp,
-                                               bool& enqueue_promotion);
+    /// L2 lookup.  Counts an l2_hit and changes nothing else — the
+    /// packet neither moves in eviction order nor leaves the stripe.  The
+    /// returned pointers stay valid until end_packet().
+    [[nodiscard]] std::optional<CacheHit> find(rabin::Fingerprint fp);
 
     void prefetch(rabin::Fingerprint fp) const { fp_index_.prefetch(fp); }
 
@@ -101,18 +101,6 @@ class L2Store {
     /// are the fingerprints the L1 purge attributed to it; they enter
     /// the L2 index.  Applies per-host-pair admission control first.
     void admit(const CachedPacket& pkt, std::span<const DemotedFp> owned);
-
-    /// A promoted packet leaving the stripe: meta/fingerprints moved to
-    /// `out`, index entries it still owns appended to `owned_out` (and
-    /// removed here).  The payload view stays readable until
-    /// end_packet() (limbo).  False if `id` is not resident.
-    struct Taken {
-      PayloadView payload;
-      PacketMeta meta;
-      std::vector<rabin::Fingerprint> fps;
-    };
-    bool take(std::uint64_t id, Taken& out,
-              std::vector<DemotedFp>& owned_out);
 
     /// The cache-update procedure overwrote these fingerprints in the L1
     /// table: whatever the L2 index held for them is stale — drop it, so
@@ -124,15 +112,17 @@ class L2Store {
     bool invalidate(rabin::Fingerprint fp);
 
     /// End-of-packet epoch boundary: enforce the stripe share (deferred
-    /// budget eviction through the policy seam) and free limbo slices.
+    /// oldest-first budget eviction) and free limbo slices.
     void end_packet();
 
     /// Drops everything (cache flush).
     void clear();
 
-    /// Serializes / restores one "BCL2" block (contents + recency +
-    /// per-host attribution; not statistics).  load() consumes exactly
-    /// the block and returns false, with the stripe cleared and the
+    /// Serializes / restores one "BCL2" block (contents + insertion
+    /// order + per-host attribution; not statistics).  Each packet
+    /// carries a u32 that older images used for a hit count: written as
+    /// 0 and ignored on load, so the layout stays byte-compatible.
+    /// load() consumes exactly the block and returns false, with the stripe cleared and the
     /// reader failed, on malformed input.
     void save(SnapshotWriter& w) const;
     bool load(SnapshotReader& r);
@@ -164,18 +154,15 @@ class L2Store {
 
    private:
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-    static constexpr std::uint32_t kZipfScan = 8;
 
     struct Slot {
       CachedPacket pkt;
       SliceArena::Slice slice;
-      std::uint32_t prev = kNil;       // global chain (head = warmest)
+      std::uint32_t prev = kNil;       // global chain (head = newest)
       std::uint32_t next = kNil;
       std::uint32_t host_prev = kNil;  // per-host-pair chain
       std::uint32_t host_next = kNil;
-      std::uint32_t hit_count = 0;     // kZipfAware decayed frequency
       bool live = false;
-      bool promote_pending = false;
     };
 
     std::uint32_t acquire_slot();
@@ -188,12 +175,9 @@ class L2Store {
     void host_link_front(std::uint32_t slot);
     void host_link_back(std::uint32_t slot);
     void host_unlink(std::uint32_t slot);
-    void touch(std::uint32_t slot);
     /// Purges the index entries `slot` owns and retires it; returns the
     /// number of index entries purged.
     std::size_t evict_slot(std::uint32_t slot);
-    /// Victim for a stripe-share eviction per the policy seam.
-    [[nodiscard]] std::uint32_t pick_victim();
 
     CacheConfig config_;
     std::size_t share_;

@@ -87,16 +87,6 @@ std::uint64_t PacketStore::insert(util::BytesView payload,
   return head_ == kNil ? 0 : slots_[head_].pkt.id;
 }
 
-const CachedPacket* PacketStore::lookup(std::uint64_t id) {
-  const std::uint32_t* slot = index_.find(id);
-  if (slot == nullptr) return nullptr;
-  if (head_ != *slot) {  // move to front
-    unlink(*slot);
-    link_front(*slot);
-  }
-  return &slots_[*slot].pkt;
-}
-
 const CachedPacket* PacketStore::peek(std::uint64_t id) const {
   const std::uint32_t* slot = index_.find(id);
   return slot == nullptr ? nullptr : &slots_[*slot].pkt;
@@ -129,27 +119,6 @@ void PacketStore::restore(std::uint64_t id, util::BytesView payload,
   s.live = true;
   link_back(slot);
   index_.put(s.pkt.id, slot);
-}
-
-void PacketStore::reinsert(std::uint64_t id, util::BytesView payload,
-                           const PacketMeta& meta,
-                           const std::vector<rabin::Fingerprint>& fps) {
-  BC_CHECK(id != 0 && id < next_id_)
-      << "reinsert of id " << id << " the store never assigned (next_id "
-      << next_id_ << ")";
-  BC_CHECK(index_.find(id) == nullptr)
-      << "reinsert of live id " << id;
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.pkt.id = id;
-  assign_payload(s, payload);
-  s.pkt.meta = meta;
-  s.pkt.fps = fps;
-  s.live = true;
-  bytes_used_ += s.pkt.payload.size();
-  link_front(slot);
-  index_.put(id, slot);
-  evict_to_budget();
 }
 
 bool PacketStore::erase(std::uint64_t id) {
@@ -198,7 +167,7 @@ void PacketStore::audit() const {
           << " bytes overflows its class "
           << SliceArena::class_size(slot.slice.cls);
     }
-    BC_AUDIT(slot.live) << "LRU chain reaches freed slot " << s;
+    BC_AUDIT(slot.live) << "store chain reaches freed slot " << s;
     BC_AUDIT(slot.prev == prev)
         << "slot " << s << " back-link " << slot.prev
         << " does not match predecessor " << prev;
@@ -207,7 +176,7 @@ void PacketStore::audit() const {
         << next_id_ << ")";
     const std::uint32_t* idx = index_.find(slot.pkt.id);
     BC_AUDIT(idx != nullptr)
-        << "LRU entry " << slot.pkt.id << " missing from the id index";
+        << "store entry " << slot.pkt.id << " missing from the id index";
     if (idx != nullptr) {
       BC_AUDIT(*idx == s) << "index entry for id " << slot.pkt.id
                           << " points at slot " << *idx << ", not " << s;
@@ -215,12 +184,12 @@ void PacketStore::audit() const {
     prev = s;
   }
   BC_AUDIT(tail_ == prev)
-      << "LRU tail " << tail_ << " does not terminate the chain (" << prev
+      << "store tail " << tail_ << " does not terminate the chain (" << prev
       << ")";
   // Together with the per-entry lookups above this makes index_ <-> chain
   // a bijection: every chain node is indexed, and the sizes match.
   BC_AUDIT(entries == index_.size())
-      << "LRU chain has " << entries << " entries but the index has "
+      << "store chain has " << entries << " entries but the index has "
       << index_.size();
   BC_AUDIT(entries + free_.size() == slots_.size())
       << entries << " live + " << free_.size() << " free slots != slab of "

@@ -1,18 +1,20 @@
-// Byte-budgeted LRU store of packet payloads, backed by a slab of
-// reusable slots.
+// Byte-budgeted store of packet payloads, backed by a slab of reusable
+// slots.
 //
 // Both gateway caches hold full copies of recently seen payloads, keyed by
-// a store-assigned id.  The store evicts least-recently-used payloads when
-// a byte budget is exceeded.  Fingerprint-table entries pointing at an
-// evicted payload are purged eagerly through the EvictionListener hook
-// (ByteCache implements it); lazy invalidation at lookup time remains as
-// defense in depth.  The paper sizes caches so eviction does not occur
+// a store-assigned id.  The store evicts the oldest-inserted payloads when
+// a byte budget is exceeded.  Reads never reorder anything: eviction order
+// is insertion order, so it depends only on the insert/erase/clear calls
+// that encoder and decoder run identically (paper Section IV).
+// Fingerprint-table entries pointing at an evicted payload are purged
+// eagerly through the EvictionListener hook (ByteCache implements it);
+// lazy invalidation at lookup time remains as defense in depth.  The paper sizes caches so eviction does not occur
 // within an experiment; the budget exists so the library is usable
 // long-running.
 //
 // Layout: entries live in a slot vector with intrusive prev/next links
-// forming the LRU list, a freelist recycles slots, and the id index is an
-// open-addressing FlatMap64.  Payload bytes live in a SliceArena
+// forming the insertion-order list, a freelist recycles slots, and the id
+// index is an open-addressing FlatMap64.  Payload bytes live in a SliceArena
 // (cache/slice_arena.h): insert copies into a size-classed slice from a
 // hugepage-friendly area, evict pushes the slice back on its freelist —
 // both O(1), and steady-state insert/evict churn never touches the
@@ -36,7 +38,7 @@ namespace bytecache::cache {
 /// Read-only view of a cached payload.  The bytes live in the store's
 /// slice arena (or, transiently, a slot's heap fallback) and are valid
 /// exactly as long as the owning CachedPacket is live — the same
-/// lifetime the pointer returned by PacketStore::lookup already had.
+/// lifetime the pointer returned by PacketStore::peek has.
 /// Converts to util::BytesView wherever a plain byte span is wanted and
 /// compares against any contiguous byte range (tests compare payloads to
 /// util::Bytes literals directly).
@@ -112,7 +114,7 @@ struct CachedPacket {
 /// kExplicit ones (NACK invalidation names a packet the peer lost —
 /// keeping a copy anywhere would re-diverge the caches).
 enum class EvictReason : std::uint8_t {
-  kBudget,    // LRU eviction to meet the byte budget
+  kBudget,    // oldest-first eviction to meet the byte budget
   kExplicit,  // erase(): NACK invalidation or another deliberate removal
 };
 
@@ -140,17 +142,14 @@ class PacketStore {
     listener_ = listener;
   }
 
-  /// Stores a payload copy; returns its id.  May evict LRU entries (each
-  /// reported to the eviction listener).  `anchors` is the payload's
+  /// Stores a payload copy; returns its id.  May evict the oldest entries
+  /// (each reported to the eviction listener).  `anchors` is the payload's
   /// selected anchor set, whose fingerprints are retained for the
   /// eviction purge.
   std::uint64_t insert(util::BytesView payload, const PacketMeta& meta,
                        const std::vector<rabin::Anchor>& anchors = {});
 
-  /// Returns the packet and marks it most-recently-used; nullptr if absent.
-  [[nodiscard]] const CachedPacket* lookup(std::uint64_t id);
-
-  /// Returns the packet without touching recency; nullptr if absent.
+  /// Returns the packet; nullptr if absent.  Never changes eviction order.
   [[nodiscard]] const CachedPacket* peek(std::uint64_t id) const;
 
   [[nodiscard]] bool contains(std::uint64_t id) const;
@@ -175,8 +174,8 @@ class PacketStore {
   /// restore; see ByteCache::set_host_key); no-op if the id is absent.
   void set_host_key(std::uint64_t id, std::uint64_t host_key);
 
-  /// Iterable view of the stored packets from most- to least-recently
-  /// used (snapshot/debug only).
+  /// Iterable view of the stored packets from newest to oldest insert —
+  /// the reverse of eviction order (snapshot/debug/tests only).
   class EntryView {
    public:
     class iterator {
@@ -218,20 +217,11 @@ class PacketStore {
   [[nodiscard]] EntryView entries() const { return EntryView(this); }
 
   /// Re-inserts a snapshotted entry (by id, payload copy, and metadata)
-  /// at the LRU tail; callers restore in MRU-to-LRU order so recency is
-  /// preserved.  Ids are kept; the id counter advances past them.
-  /// Fingerprints are re-attached via note_fingerprint.
+  /// at the oldest end; callers restore in newest-to-oldest order so
+  /// insertion order is preserved.  Ids are kept; the id counter advances
+  /// past them.  Fingerprints are re-attached via note_fingerprint.
   void restore(std::uint64_t id, util::BytesView payload,
                const PacketMeta& meta);
-
-  /// Re-inserts a previously assigned id at the MRU end with its
-  /// fingerprint list (the L2 -> L1 promotion path).  Exactly insert()
-  /// except the id is the caller's: may evict LRU entries, reports them
-  /// to the listener.  `id` must not be live and must have been assigned
-  /// before (the id counter never moves backwards).
-  void reinsert(std::uint64_t id, util::BytesView payload,
-                const PacketMeta& meta,
-                const std::vector<rabin::Fingerprint>& fps);
 
   [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
   [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
@@ -245,8 +235,8 @@ class PacketStore {
 
   /// Deep invariant audit (BC_AUDIT; no-op unless the build enables
   /// audits): byte accounting equals the sum of stored payload sizes, the
-  /// id index and the LRU chain are a bijection, live and free slots
-  /// partition the slab, every id is one the store assigned, and the byte
+  /// id index and the insertion-order chain are a bijection, live and
+  /// free slots partition the slab, every id is one the store assigned, and the byte
   /// budget holds whenever eviction can enforce it.
   void audit() const;
 
@@ -276,8 +266,8 @@ class PacketStore {
   std::size_t bytes_used_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t evictions_ = 0;
-  std::uint32_t head_ = kNil;  // most recently used
-  std::uint32_t tail_ = kNil;  // least recently used
+  std::uint32_t head_ = kNil;  // newest insert
+  std::uint32_t tail_ = kNil;  // oldest insert: the next victim
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;      // recycled slot indices
   FlatMap64<std::uint32_t> index_;       // id -> slot

@@ -23,6 +23,7 @@
 // users, never through the codec) and zero-byte requests fall back to
 // plain heap / null slices so the store stays fully general.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -92,9 +93,10 @@ class SliceArena {
     /// area-leak regression test exercises.
     int fail_bookkeeping = 0;
     /// Process-lifetime balance of areas obtained from / returned to
-    /// the OS (heap-fallback slices excluded).
-    std::uint64_t areas_allocated = 0;
-    std::uint64_t areas_freed = 0;
+    /// the OS (heap-fallback slices excluded).  Atomic: every shard's
+    /// arena carves on its own worker thread.
+    std::atomic<std::uint64_t> areas_allocated{0};
+    std::atomic<std::uint64_t> areas_freed{0};
   };
   static TestHooks test_hooks;
 

@@ -21,7 +21,7 @@ TEST(PacketStore, InsertAndLookup) {
   meta.has_tcp_seq = true;
   const auto id = store.insert(payload_of('a'), meta);
   ASSERT_NE(id, 0u);
-  const CachedPacket* p = store.lookup(id);
+  const CachedPacket* p = store.peek(id);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->payload, payload_of('a'));
   EXPECT_EQ(p->meta.tcp_seq, 42u);
@@ -37,7 +37,7 @@ TEST(PacketStore, IdsAreMonotonic) {
 
 TEST(PacketStore, LookupAbsentReturnsNull) {
   PacketStore store;
-  EXPECT_EQ(store.lookup(12345), nullptr);
+  EXPECT_EQ(store.peek(12345), nullptr);
   EXPECT_FALSE(store.contains(12345));
 }
 
@@ -55,18 +55,18 @@ TEST(PacketStore, ClearEmpties) {
   store.clear();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_EQ(store.lookup(id), nullptr);
+  EXPECT_EQ(store.peek(id), nullptr);
 }
 
 TEST(PacketStore, EvictsLruWhenOverBudget) {
+  // Only inserts count as use (reads never reorder the store), so the
+  // victim is the oldest insert.
   PacketStore store(CacheConfig{.l1_bytes = 250});
   const auto a = store.insert(payload_of('a', 100), {});
   const auto b = store.insert(payload_of('b', 100), {});
-  // Touch a so b becomes the LRU.
-  ASSERT_NE(store.lookup(a), nullptr);
   const auto c = store.insert(payload_of('c', 100), {});
-  EXPECT_TRUE(store.contains(a));
-  EXPECT_FALSE(store.contains(b));  // evicted
+  EXPECT_FALSE(store.contains(a));  // evicted: the oldest insert
+  EXPECT_TRUE(store.contains(b));
   EXPECT_TRUE(store.contains(c));
   EXPECT_EQ(store.evictions(), 1u);
   EXPECT_LE(store.bytes_used(), 250u);
@@ -91,7 +91,7 @@ TEST(PacketStore, PeekDoesNotTouchRecency) {
   store.insert(payload_of('b', 100), {});
   ASSERT_NE(store.peek(a), nullptr);  // peek must NOT move a to front
   store.insert(payload_of('c', 100), {});
-  EXPECT_FALSE(store.contains(a));  // a was still the LRU
+  EXPECT_FALSE(store.contains(a));  // a was still the oldest
 }
 
 // -------------------------------------------------- FingerprintTable --

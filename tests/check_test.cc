@@ -120,7 +120,7 @@ TEST(PacketStoreAudit, CleanThroughInsertLookupEraseEvict) {
   // The 4 KiB budget forced evictions along the way.
   EXPECT_GT(store.evictions(), 0u);
   for (const std::uint64_t id : ids) {
-    (void)store.lookup(id);  // touches the LRU list
+    (void)store.peek(id);  // a read must leave the chain intact
     store.audit();
   }
   for (const std::uint64_t id : ids) {
@@ -134,7 +134,7 @@ TEST(PacketStoreAudit, CleanThroughInsertLookupEraseEvict) {
 TEST(PacketStoreAudit, CatchesDuplicateIdRestore) {
   if (!util::kAuditEnabled) GTEST_SKIP() << "audits compiled out";
   PacketStore store;
-  // Same id twice: breaks the index <-> LRU-list bijection.
+  // Same id twice: breaks the index <-> chain bijection.
   store.restore(7, util::Bytes{1, 2, 3}, cache::PacketMeta{});
   store.restore(7, util::Bytes{4, 5, 6}, cache::PacketMeta{});
   FailureRecorder rec;

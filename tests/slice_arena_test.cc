@@ -20,7 +20,9 @@ using cache::SliceArena;
 // bookkeeping failure throws exactly in that window; the alloc/free
 // balance across the arena's lifetime is the leak detector.
 TEST(SliceArenaTest, BookkeepingFailureDoesNotLeakArea) {
-  const SliceArena::TestHooks before = SliceArena::test_hooks;
+  const std::uint64_t allocated_before =
+      SliceArena::test_hooks.areas_allocated;
+  const std::uint64_t freed_before = SliceArena::test_hooks.areas_freed;
   {
     SliceArena arena;
     SliceArena::test_hooks.fail_bookkeeping = 1;
@@ -37,8 +39,8 @@ TEST(SliceArenaTest, BookkeepingFailureDoesNotLeakArea) {
     arena.audit();
   }
   const SliceArena::TestHooks& after = SliceArena::test_hooks;
-  EXPECT_EQ(after.areas_allocated - before.areas_allocated,
-            after.areas_freed - before.areas_freed)
+  EXPECT_EQ(after.areas_allocated - allocated_before,
+            after.areas_freed - freed_before)
       << "an area obtained during a failed carve was never freed";
 }
 
@@ -46,7 +48,9 @@ TEST(SliceArenaTest, BookkeepingFailureDoesNotLeakArea) {
 // the same ordering: inject the failure on the second carve of a class
 // whose first area is exhausted.
 TEST(SliceArenaTest, BookkeepingFailureOnLaterCarveDoesNotLeak) {
-  const SliceArena::TestHooks before = SliceArena::test_hooks;
+  const std::uint64_t allocated_before =
+      SliceArena::test_hooks.areas_allocated;
+  const std::uint64_t freed_before = SliceArena::test_hooks.areas_freed;
   {
     SliceArena arena;
     std::vector<SliceArena::Slice> held;
@@ -65,8 +69,8 @@ TEST(SliceArenaTest, BookkeepingFailureOnLaterCarveDoesNotLeak) {
     arena.audit();
   }
   const SliceArena::TestHooks& after = SliceArena::test_hooks;
-  EXPECT_EQ(after.areas_allocated - before.areas_allocated,
-            after.areas_freed - before.areas_freed);
+  EXPECT_EQ(after.areas_allocated - allocated_before,
+            after.areas_freed - freed_before);
 }
 
 TEST(SliceArenaTest, OversizeFallbackPairsAllocAndFree) {

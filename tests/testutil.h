@@ -19,9 +19,11 @@ namespace bytecache::testutil {
 inline constexpr std::uint32_t kSrcIp = 0x0A000001;  // 10.0.0.1
 inline constexpr std::uint32_t kDstIp = 0x0A000101;  // 10.0.1.1
 
-/// Builds a TCP data packet carrying `data` at sequence number `seq`.
+/// Builds a TCP data packet carrying `data` at sequence number `seq`,
+/// sent from `src` to kDstIp.
 inline packet::PacketPtr make_tcp_packet(util::BytesView data,
-                                         std::uint32_t seq) {
+                                         std::uint32_t seq,
+                                         std::uint32_t src = kSrcIp) {
   packet::TcpHeader h;
   h.src_port = 80;
   h.dst_port = 40000;
@@ -29,8 +31,8 @@ inline packet::PacketPtr make_tcp_packet(util::BytesView data,
   h.flags = packet::TcpHeader::kAck | packet::TcpHeader::kPsh;
   util::Bytes segment;
   segment.reserve(packet::TcpHeader::kSize + data.size());
-  h.serialize(segment, data, kSrcIp, kDstIp);
-  return packet::make_packet(kSrcIp, kDstIp, packet::IpProto::kTcp,
+  h.serialize(segment, data, src, kDstIp);
+  return packet::make_packet(src, kDstIp, packet::IpProto::kTcp,
                              std::move(segment));
 }
 

@@ -1,31 +1,43 @@
-// Eviction-policy / tier equivalence suite (DESIGN.md §14).
+// Tier equivalence and lockstep suite (DESIGN.md §14).
 //
 // The CacheTier facade must be invisible on the wire whenever the L2
 // never comes into play: for every tracked data-plane configuration, a
 // codec pair with an attached-but-idle L2 (unbounded L1, so nothing ever
 // demotes) must emit byte-identical wire traffic to the plain flat-cache
 // codec — the pre-tier behavior, which no-L2 CacheTier *is*.  The same
-// holds for the journaling mode knob and for the eviction-policy seam,
-// both of which are pure L2 concerns.
+// holds for the journaling mode knob, a pure bookkeeping concern.
 //
 // Where the L2 does engage (a bounded L1 under an eviction-heavy
 // stream), the tier may only help: decode stays lossless and the wire
-// never grows, with demotions, L2 hits, and promotions all observed.
+// never grows, with demotions and L2 hits both observed.
+//
+// Lockstep: a cache hit never changes cache state, so bounded encoder
+// and decoder caches hold the same packets in the same order after every
+// packet, even though the encoder looks up (and then drops) hits the
+// decoder never asks about.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "cache/cache_config.h"
 #include "cache/l2_store.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
+#include "core/factory.h"
+#include "gateway/sharded_gateways.h"
+#include "packet/packet.h"
 #include "tests/testutil.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace bytecache {
 namespace {
 
+using testutil::make_tcp_packet;
 using testutil::random_bytes;
 using testutil::segment_stream;
 using testutil::test_encoder;
@@ -182,31 +194,10 @@ TEST(TierEquiv, JournalingModeNeverTouchesTheWire) {
   }
 }
 
-TEST(TierEquiv, EvictionPolicyKnobIsInertWithoutAnL2) {
-  // The policy seam selects L2 victims only: with no L2 attached the
-  // Zipf-aware setting must be bit-identical to LRU.
-  Rng rng(testutil::test_seed(303));
-  const Bytes object = cyclic_object(rng);
-  const E2EConfig& bounded = kConfigs[4];
-
-  cache::CacheConfig lru;
-  lru.l1_bytes = 64 * 1024;  // eviction-heavy, so the knob COULD matter
-  const std::vector<Bytes> a = wire_bytes_under(bounded, object, lru);
-
-  cache::CacheConfig zipf = lru;
-  zipf.eviction = cache::EvictionPolicy::kZipfAware;
-  const std::vector<Bytes> b = wire_bytes_under(bounded, object, zipf);
-
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "packet " << i;
-  }
-}
-
 TEST(TierEquiv, EngagedTierOnlyEverShrinksTheWire) {
   // Under the bounded config the L1 churns; with an L2 behind it the
-  // evictees stay reachable, so compression can only improve — and the
-  // whole demote/hit/promote cycle must actually run.
+  // evictees stay reachable, so compression can only improve — and both
+  // demotions and L2 hits must actually happen.
   Rng rng(testutil::test_seed(304));
   const Bytes object = cyclic_object(rng);
   const E2EConfig& bounded = kConfigs[4];
@@ -224,30 +215,252 @@ TEST(TierEquiv, EngagedTierOnlyEverShrinksTheWire) {
 
   EXPECT_GT(stats.demotions, 0u);
   EXPECT_GT(stats.l2_hits, 0u);
-  EXPECT_GT(stats.promotions, 0u);
   EXPECT_LE(total(tier_wire), total(flat_wire));
 }
 
-TEST(TierEquiv, ZipfPolicyStaysLosslessUnderL2Pressure) {
-  // A tight L2 share forces stripe evictions through the policy seam on
-  // both sides; whatever the victims, decode must stay lossless and the
-  // codecs in lockstep (wire_bytes_under asserts both).
-  Rng rng(testutil::test_seed(305));
-  const Bytes object = cyclic_object(rng);
-  const E2EConfig& bounded = kConfigs[4];
+// ------------------------------------------------------------ lockstep --
 
-  cache::CacheConfig cc;
-  cc.l1_bytes = 64 * 1024;
-  // Tight: smaller than the cycle, so the stripe share evicts
-  // constantly — but L1 + L2 together outlive one cycle, so recurring
-  // chunks still hit.
-  cc.l2_bytes = 96 * 1024;
-  cc.eviction = cache::EvictionPolicy::kZipfAware;
-  cache::TierStats stats;
-  (void)wire_bytes_under(bounded, object, cc, &stats);
-  EXPECT_GT(stats.l2_evictions, 0u);
-  EXPECT_GT(stats.l2_hits, 0u);
+constexpr std::size_t kLockstepL1 = 256 * 1024;
+constexpr std::size_t kLockstepL2 = 128 * 1024;  // per stripe
+
+/// A Zipf-skewed catalogue: random objects of 6–20 KiB (~0.5 MiB in all,
+/// about twice the L1 and four times an L2 stripe), and a request list
+/// drawn by Zipf(0.9) popularity — popular objects recur while still in
+/// the L1, middling ones after demotion to the L2, the tail after both
+/// tiers forgot them.
+struct Catalogue {
+  std::vector<Bytes> objects;
+  std::size_t bytes = 0;
+};
+
+Catalogue zipf_catalogue(Rng& rng) {
+  Catalogue cat;
+  for (int i = 0; i < 40; ++i) {
+    cat.objects.push_back(random_bytes(rng, rng.uniform(6 * 1024, 20 * 1024)));
+    cat.bytes += cat.objects.back().size();
+  }
+  return cat;
 }
 
+/// One host pair downloading `requests` Zipf draws from the catalogue
+/// back to back over one TCP connection (sequence numbers only advance),
+/// as MSS-sized segments.  With `resend`, about one segment in 16 is
+/// followed by a re-send of the segment two back: a go-back
+/// retransmission whose own cached copy (and its successor's) the
+/// tcp_seq policy's admit() must refuse to reference.
+std::vector<packet::PacketPtr> download_stream(const Catalogue& cat,
+                                               std::uint32_t src,
+                                               int requests, bool resend,
+                                               Rng& rng) {
+  constexpr std::size_t kMss = 1460;
+  std::vector<packet::PacketPtr> out;
+  std::uint32_t seq = 1000;
+  for (int r = 0; r < requests; ++r) {
+    const Bytes& object = cat.objects[rng.zipf(cat.objects.size(), 0.9)];
+    const util::BytesView view(object);
+    for (std::size_t off = 0; off < object.size(); off += kMss) {
+      const std::size_t len = std::min(kMss, object.size() - off);
+      const auto at = static_cast<std::uint32_t>(off);
+      out.push_back(make_tcp_packet(view.subspan(off, len), seq + at, src));
+      if (resend && off >= 2 * kMss && rng.chance(1.0 / 16)) {
+        out.push_back(make_tcp_packet(view.subspan(off - 2 * kMss, kMss),
+                                      seq + at - 2 * kMss, src));
+      }
+    }
+    seq += static_cast<std::uint32_t>(object.size());
+  }
+  return out;
+}
+
+/// Whether two codec caches hold the same state: the same L1 packets in
+/// the same order (store ids are assigned per insert, so lockstep codecs
+/// agree on them), the same fingerprint count, and the same L2 residents.
+testing::AssertionResult same_cache(const cache::CacheTier& enc,
+                                    const cache::CacheTier& dec) {
+  std::vector<std::uint64_t> a, b;
+  for (const cache::CachedPacket& p : enc.store().entries()) a.push_back(p.id);
+  for (const cache::CachedPacket& p : dec.store().entries()) b.push_back(p.id);
+  if (a != b) {
+    return testing::AssertionFailure()
+           << "L1 id sequences differ (" << a.size() << " vs " << b.size()
+           << " entries)";
+  }
+  if (enc.fingerprint_count() != dec.fingerprint_count()) {
+    return testing::AssertionFailure() << "L1 fingerprint counts differ";
+  }
+  if (!enc.has_l2()) return testing::AssertionSuccess();
+  const cache::L2Store::Stripe& es = *enc.stripe();
+  const cache::L2Store::Stripe& ds = *dec.stripe();
+  if (es.size() != ds.size() || es.bytes_used() != ds.bytes_used() ||
+      es.fingerprints() != ds.fingerprints()) {
+    return testing::AssertionFailure()
+           << "L2 stripes differ: " << es.size() << "/" << es.bytes_used()
+           << "/" << es.fingerprints() << " vs " << ds.size() << "/"
+           << ds.bytes_used() << "/" << ds.fingerprints();
+  }
+  for (std::uint64_t id = 1; id < enc.store().next_id(); ++id) {
+    if (es.contains(id) != ds.contains(id)) {
+      return testing::AssertionFailure() << "L2 residency of " << id
+                                         << " differs";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+struct LockstepCase {
+  const char* name;
+  core::PolicyKind policy;
+  core::SelectMode mode;
+  bool resend;
+};
+
+// cache_flush runs without re-sends: a retransmission makes its encoder
+// flush alone (the v1 decoder keeps a superset by design, paper Section
+// V-A), so identical contents are only expected between flushes.
+constexpr LockstepCase kLockstepCases[] = {
+    {"cache_flush_samplebyte", core::PolicyKind::kCacheFlush,
+     core::SelectMode::kSampleByte, false},
+    {"tcp_seq_resend", core::PolicyKind::kTcpSeq,
+     core::SelectMode::kValueSampling, true},
+};
+
+core::GatewayConfig lockstep_config(const LockstepCase& c, bool with_l2) {
+  core::GatewayConfig cfg;
+  cfg.policy = c.policy;
+  cfg.params.select_mode = c.mode;
+  cfg.cache.l1_bytes = kLockstepL1;
+  if (with_l2) cfg.cache.l2_bytes = kLockstepL2;
+  return cfg;
+}
+
+void run_lockstep_pair(bool with_l2) {
+  Rng rng(testutil::test_seed(306));
+  const Catalogue cat = zipf_catalogue(rng);
+  ASSERT_GT(cat.bytes, kLockstepL1 + kLockstepL2);
+  for (const LockstepCase& c : kLockstepCases) {
+    SCOPED_TRACE(c.name);
+    const core::GatewayConfig cfg = lockstep_config(c, with_l2);
+    std::unique_ptr<cache::L2Store> enc_l2, dec_l2;
+    if (with_l2) {
+      enc_l2 = std::make_unique<cache::L2Store>(cfg.cache, 1);
+      dec_l2 = std::make_unique<cache::L2Store>(cfg.cache, 1);
+    }
+    auto enc = core::make_encoder(cfg, enc_l2.get());
+    auto dec = core::make_decoder(cfg, dec_l2.get());
+    Rng stream_rng = rng.fork(static_cast<std::uint64_t>(c.policy));
+    auto stream = download_stream(cat, testutil::kSrcIp, /*requests=*/80,
+                                  c.resend, stream_rng);
+    std::size_t drops = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      packet::Packet& pkt = *stream[i];
+      const Bytes original = pkt.payload;
+      enc->process(pkt);
+      const core::DecodeInfo info = dec->process(pkt);
+      if (core::is_drop(info.status)) ++drops;
+      ASSERT_EQ(pkt.payload, original) << "packet " << i;
+      ASSERT_TRUE(same_cache(enc->cache(), dec->cache())) << "packet " << i;
+    }
+    EXPECT_EQ(drops, 0u);
+    // The stream exercised what lockstep is about: L1 eviction, hits the
+    // encoder dropped (re-sends), and a churning L2.
+    EXPECT_GT(enc->cache().store().evictions(), 0u);
+    EXPECT_GT(enc->stats().encoded_packets, 0u);
+    if (c.resend) {
+      EXPECT_GT(enc->stats().retransmissions, 0u);
+    }
+    if (with_l2) {
+      EXPECT_GT(enc->cache().tier_stats().l2_hits, 0u);
+      EXPECT_GT(enc->cache().tier_stats().l2_evictions, 0u);
+    }
+    enc->audit();
+    dec->audit();
+  }
+}
+
+TEST(TierLockstep, BoundedL1StaysInLockstep) {
+  run_lockstep_pair(/*with_l2=*/false);
+}
+
+TEST(TierLockstep, BoundedL1WithSmallL2StaysInLockstep) {
+  run_lockstep_pair(/*with_l2=*/true);
+}
+
+TEST(TierLockstep, ShardedThreadedRelayWithSharedL2) {
+  // Two threaded shards per side, each gateway with one L2Store shared
+  // by its shards; four host pairs spread across both shards.  The
+  // sanitizer builds run this under ASan/UBSan and TSan.
+  Rng rng(testutil::test_seed(307));
+  const Catalogue cat = zipf_catalogue(rng);
+  constexpr std::size_t kShards = 2;
+  std::vector<std::uint32_t> srcs;
+  std::size_t per_shard[kShards] = {0, 0};
+  for (std::uint32_t src = testutil::kSrcIp; srcs.size() < 4; ++src) {
+    const auto probe = make_tcp_packet(Bytes(64, 0), 0, src);
+    const std::size_t s =
+        gateway::shard_index_of(gateway::shard_key_of(*probe), kShards);
+    if (per_shard[s] == 2) continue;
+    ++per_shard[s];
+    srcs.push_back(src);
+  }
+  for (const LockstepCase& c : kLockstepCases) {
+    SCOPED_TRACE(c.name);
+    core::GatewayConfig cfg = lockstep_config(c, /*with_l2=*/true);
+    cfg.cache.l2_bytes = kShards * kLockstepL2;
+    cfg.shards = kShards;
+    cfg.threaded = true;
+    cfg.ring_capacity = 64;
+
+    std::vector<std::vector<packet::PacketPtr>> streams;
+    std::map<std::uint32_t, Bytes> offered, decoded;
+    for (std::uint32_t src : srcs) {
+      Rng stream_rng = rng.fork(src);
+      streams.push_back(download_stream(cat, src, /*requests=*/24, c.resend,
+                                        stream_rng));
+      for (const auto& p : streams.back()) {
+        util::append(offered[src], p->payload);
+      }
+    }
+
+    gateway::ShardedEncoderGateway enc(cfg);
+    gateway::ShardedDecoderGateway dec(cfg);
+    dec.set_sink([&](packet::PacketPtr p) {
+      util::append(decoded[p->ip.src], p->payload);
+    });
+    enc.set_sink([&dec](packet::PacketPtr p) { dec.submit(std::move(p)); });
+    auto quiesce_and_compare = [&](std::size_t submitted) {
+      enc.drain_until_idle();
+      dec.drain_until_idle();
+      for (std::size_t s = 0; s < kShards; ++s) {
+        ASSERT_TRUE(same_cache(enc.shard(s).encoder()->cache(),
+                               dec.shard(s).decoder()->cache()))
+            << "shard " << s << " after " << submitted << " packets";
+      }
+    };
+    std::size_t submitted = 0;
+    for (std::size_t i = 0;; ++i) {
+      bool any = false;
+      for (auto& stream : streams) {
+        if (i >= stream.size()) continue;
+        enc.submit(std::move(stream[i]));
+        any = true;
+        if (++submitted % 128 == 0) {
+          enc.drain();
+          dec.drain();
+        }
+        if (submitted % 512 == 0) quiesce_and_compare(submitted);
+      }
+      if (!any) break;
+    }
+    quiesce_and_compare(submitted);
+    EXPECT_EQ(dec.stats().packets, submitted);
+    EXPECT_EQ(dec.stats().dropped, 0u);
+    for (std::uint32_t src : srcs) {
+      EXPECT_EQ(decoded[src], offered[src]) << "pair " << src;
+    }
+    EXPECT_GT(enc.cache_stats().hits, 0u);
+    enc.audit();
+    dec.audit();
+  }
+}
 }  // namespace
 }  // namespace bytecache

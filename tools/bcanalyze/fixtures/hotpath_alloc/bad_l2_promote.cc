@@ -1,13 +1,11 @@
 // BC-FIXTURE: path=src/cache/cache_tier_promote.cc
 //
-// bc-hotpath-alloc known-bad for the tier promotion path (DESIGN.md
-// §14): find() and the deferred-promotion drain run once per packet, so
-// a node-map insert per L2 hit or a make_unique per promoted packet is
-// exactly the steady-state allocation the tier design forbids (the real
-// store parks promotions in a reused vector and moves slab-backed
-// packets wholesale).  Contiguous growth of that pending vector is
-// amortised and allowed, and the snapshot writer is off the per-packet
-// path by name — neither may produce a finding.
+// bc-hotpath-alloc known-bad for a per-hit path in the cache tier
+// (DESIGN.md §14): find() runs for every probed anchor, so a node-map
+// insert per L2 hit or a make_unique per packet is exactly the
+// steady-state allocation the tier design forbids.  Contiguous growth of
+// a reused vector is amortised and allowed, and the snapshot writer is
+// off the per-packet path by name — neither may produce a finding.
 #include <cstdint>
 #include <map>
 #include <memory>
