@@ -4,11 +4,9 @@
 // III discusses choosing w and the selection bits k partly for
 // performance); these benches quantify the table-driven implementation.
 //
-// The scan benches come in pairs: the plain name runs whatever kernel
-// the runtime dispatch selected (see rabin/scan_kernel.h — the name is
-// stamped into the report context as "scan_kernel"), and the `Scalar`
-// suffix pins the serial reference so a single run shows the SIMD win
-// and regressions in the scalar fallback stay visible.
+// BM_RollingScan times the block-split fill (rabin/scan_kernel.h) and
+// BM_RollingScanFused the serial template scan it replaces, so one run
+// shows the fill's win over the serial reference.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -50,34 +48,24 @@ void BM_PushByte(benchmark::State& state) {
 }
 BENCHMARK(BM_PushByte);
 
-// Per-position fingerprint fill through a specific kernel tier — the
-// data-plane hot loop (what selected_anchors* run as phase one).
-void scan_fill(benchmark::State& state, const rabin::ScanKernel& kernel) {
+// Per-position fingerprint fill — the data-plane hot loop (what
+// value-sampling selection runs as phase one).
+void BM_RollingScan(benchmark::State& state) {
   rabin::RabinTables tables(16);
   const auto data = random_payload(static_cast<std::size_t>(state.range(0)));
   std::vector<rabin::Fingerprint> fps(data.size() - tables.window() + 1);
   for (auto _ : state) {
-    kernel.fill_fingerprints(tables, data.data(), data.size(), fps.data());
+    rabin::fill_fingerprints(tables, data.data(), data.size(), fps.data());
     benchmark::DoNotOptimize(fps.data());
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           data.size());
-  state.SetLabel(kernel.name);
-}
-
-void BM_RollingScan(benchmark::State& state) {
-  scan_fill(state, rabin::scan_kernel());
 }
 BENCHMARK(BM_RollingScan)->Arg(1460)->Arg(65536);
 
-void BM_RollingScanScalar(benchmark::State& state) {
-  scan_fill(state, rabin::scan_kernel(rabin::ScanKernelKind::kScalar));
-}
-BENCHMARK(BM_RollingScanScalar)->Arg(1460)->Arg(65536);
-
-// The fused single-pass template scan (window.h) — the pre-kernel
-// reference path, kept benchmarked so its inlining never regresses.
+// The fused single-pass template scan (window.h) — the serial reference
+// (and MAXP's scan), kept benchmarked so its inlining never regresses.
 void BM_RollingScanFused(benchmark::State& state) {
   rabin::RabinTables tables(16);
   const auto data = random_payload(static_cast<std::size_t>(state.range(0)));
@@ -94,9 +82,9 @@ void BM_RollingScanFused(benchmark::State& state) {
 }
 BENCHMARK(BM_RollingScanFused)->Arg(1460)->Arg(65536);
 
-// Anchor selection through the public entry points, which dispatch to
-// the kernel fill internally; scratch buffers are reused across
-// iterations exactly as the encoder reuses its own.
+// Anchor selection through the public entry points, which run the scan
+// kernels internally; scratch buffers are reused across iterations
+// exactly as the encoder reuses its own.
 template <typename Select>
 void select_anchors(benchmark::State& state, Select&& select) {
   rabin::RabinTables tables(16);
@@ -109,7 +97,6 @@ void select_anchors(benchmark::State& state, Select&& select) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           data.size());
-  state.SetLabel(rabin::scan_kernel().name);
 }
 
 void BM_SelectedAnchors(benchmark::State& state) {
@@ -122,29 +109,16 @@ void BM_SelectedAnchors(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectedAnchors);
 
-void BM_SelectedAnchorsScalar(benchmark::State& state) {
-  rabin::ScopedScanKernel pin(rabin::ScanKernelKind::kScalar);
-  BM_SelectedAnchors(state);
-}
-BENCHMARK(BM_SelectedAnchorsScalar);
-
 void BM_SelectedAnchorsMaxp(benchmark::State& state) {
   rabin::MaxpScratch maxp;
   select_anchors(state, [&maxp](const rabin::RabinTables& tables,
                                 util::BytesView data,
                                 std::vector<rabin::Anchor>& anchors,
-                                rabin::ScanScratch& scratch) {
-    rabin::selected_anchors_maxp_into(tables, data, 31, anchors, maxp,
-                                      scratch);
+                                rabin::ScanScratch&) {
+    rabin::selected_anchors_maxp_into(tables, data, 31, anchors, maxp);
   });
 }
 BENCHMARK(BM_SelectedAnchorsMaxp);
-
-void BM_SelectedAnchorsMaxpScalar(benchmark::State& state) {
-  rabin::ScopedScanKernel pin(rabin::ScanKernelKind::kScalar);
-  BM_SelectedAnchorsMaxp(state);
-}
-BENCHMARK(BM_SelectedAnchorsMaxpScalar);
 
 void BM_SelectedAnchorsSampleByte(benchmark::State& state) {
   // EndRE's point: fingerprints only at anchors, not at every position.
@@ -157,12 +131,6 @@ void BM_SelectedAnchorsSampleByte(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SelectedAnchorsSampleByte);
-
-void BM_SelectedAnchorsSampleByteScalar(benchmark::State& state) {
-  rabin::ScopedScanKernel pin(rabin::ScanKernelKind::kScalar);
-  BM_SelectedAnchorsSampleByte(state);
-}
-BENCHMARK(BM_SelectedAnchorsSampleByteScalar);
 
 void BM_ScanFromScratch(benchmark::State& state) {
   // The naive alternative to rolling: recompute each window from
@@ -196,9 +164,6 @@ BENCHMARK(BM_ScanFromScratch);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Stamp the dispatched kernel into the report context so bench_json.py
-  // can refuse apples-to-oranges comparisons across kernels.
-  benchmark::AddCustomContext("scan_kernel", bytecache::rabin::scan_kernel().name);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

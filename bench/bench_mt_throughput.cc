@@ -31,7 +31,6 @@
 #include "gateway/sharded_gateways.h"
 #include "packet/ipv4.h"
 #include "packet/tcp.h"
-#include "rabin/scan_kernel.h"
 
 namespace {
 
@@ -267,10 +266,8 @@ int main(int argc, char** argv) {
       "{\n  \"bench\": \"bench_mt_throughput\", \"passes\": %zu,\n"
       "  \"measure\": \"best_of_timed_passes_after_warmup\",\n"
       "  \"hardware_concurrency\": %u,\n"
-      "  \"kernel\": \"%s\",\n"
       "  \"results\": [\n",
-      passes, std::thread::hardware_concurrency(),
-      rabin::scan_kernel().name);
+      passes, std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < results.size(); ++i) {
     print_result(results[i], i + 1 == results.size());
     failures += results[i].decode_failures;

@@ -7,6 +7,8 @@ namespace bytecache::cache {
 
 CacheTier::CacheTier(const CacheConfig& config, L2Store* l2)
     : l1_(config), config_(config) {
+  BC_CHECK(l2 != nullptr || !config.has_l2())
+      << "a config with l2_bytes > 0 needs an L2Store";
   if (l2 != nullptr) {
     BC_CHECK(l2->config().l2_bytes == config.l2_bytes &&
              l2->config().per_host_pair_bytes == config.per_host_pair_bytes)

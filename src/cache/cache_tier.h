@@ -43,7 +43,8 @@ class CacheTier final : private DemoteSink {
  public:
   /// An L2-less tier (l2 == nullptr) is a plain ByteCache behind the same
   /// API.  With a store, one stripe is attached (claimed for this codec's
-  /// thread) and L1 evictions start demoting into it.
+  /// thread) and L1 evictions start demoting into it.  A config with
+  /// l2_bytes > 0 requires a store (BC_CHECK).
   explicit CacheTier(const CacheConfig& config = {},
                      L2Store* l2 = nullptr);
 

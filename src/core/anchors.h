@@ -15,7 +15,7 @@
 namespace bytecache::core {
 
 /// Reusable per-codec anchor buffers: the output vector, the MAXP
-/// selection scratch, and the SIMD scan-kernel fill buffers.  Encoder
+/// selection scratch, and the scan-kernel fill buffers.  Encoder
 /// and Decoder each own one, so steady-state anchor computation never
 /// touches the allocator.
 struct AnchorWorkspace {
@@ -33,7 +33,7 @@ inline const std::vector<rabin::Anchor>& compute_anchors(
   switch (params.select_mode) {
     case SelectMode::kMaxp:
       rabin::selected_anchors_maxp_into(tables, payload, params.maxp_p,
-                                        ws.anchors, ws.maxp, ws.scan);
+                                        ws.anchors, ws.maxp);
       return ws.anchors;
     case SelectMode::kSampleByte:
       rabin::selected_anchors_samplebyte_into(tables, payload,

@@ -61,13 +61,6 @@ class RabinTables {
   [[nodiscard]] std::size_t window() const { return window_; }
   [[nodiscard]] std::uint64_t poly() const { return poly_; }
 
-  /// Raw table access for the SIMD scan kernels (scan_kernel.h), which
-  /// gather from the tables directly instead of going through push/roll.
-  [[nodiscard]] const std::uint64_t* push_table() const {
-    return push_.data();
-  }
-  [[nodiscard]] const std::uint64_t* out_table() const { return out_.data(); }
-
  private:
   std::array<std::uint64_t, 256> push_;  // (t * x^64) mod P for top byte t
   std::array<std::uint64_t, 256> out_;   // (b * x^(8w)) mod P

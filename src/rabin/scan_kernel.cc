@@ -1,72 +1,43 @@
 #include "rabin/scan_kernel.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+#include "rabin/window.h"
 
 namespace bytecache::rabin {
 
-#if defined(__x86_64__) || defined(__i386__)
-#define BYTECACHE_X86 1
-namespace detail {
-// Defined in scan_kernel_avx2.cc, compiled with target("avx2") function
-// attributes so the rest of the library stays baseline-ISA.
-void mask_avx2(const std::array<std::uint64_t, 4>& set, const std::uint8_t* p,
-               std::size_t n, std::uint64_t* masks);
-}  // namespace detail
-#endif
-
 namespace {
 
-// ---- scalar tier (the oracle) ------------------------------------------
-// Identical arithmetic to the fused template scan in window.h: w
-// from-scratch pushes, then one roll per position.  Every other tier is
-// equivalence-tested against this function.
+#if defined(__x86_64__) || defined(__i386__)
+bool has_avx2() {
+  static const bool yes = __builtin_cpu_supports("avx2") != 0;
+  return yes;
+}
+#else
+constexpr bool has_avx2() { return false; }
+#endif
 
-void fill_scalar(const RabinTables& tables, const std::uint8_t* p,
-                 std::size_t n, Fingerprint* out) {
-  const std::size_t w = tables.window();
-  Fingerprint fp = kEmptyFingerprint;
-  for (std::size_t i = 0; i < w; ++i) fp = tables.push(fp, p[i]);
-  out[0] = fp;
-  for (std::size_t i = w; i < n; ++i) {
-    fp = tables.roll(fp, p[i - w], p[i]);
-    out[i - w + 1] = fp;
+// Membership bits of q[0..7] as one byte (bit k = set[q[k]]): the eight
+// 0/1 entries sit in the low bit of each byte of x, and the multiply
+// gathers byte k's bit into bit 56 + k without carries.
+std::uint64_t pack8(const ByteSet& set, const std::uint8_t* q) {
+  std::uint64_t x = 0;
+  for (unsigned k = 0; k < 8; ++k) {
+    x |= std::uint64_t{set[q[k]]} << (8 * k);
   }
+  return (x * 0x0102040810204080u) >> 56;
 }
 
-void mask_scalar(const std::array<std::uint64_t, 4>& set,
-                 const std::uint8_t* p, std::size_t n, std::uint64_t* masks) {
-  const std::size_t words = (n + 63) / 64;
-  for (std::size_t i = 0; i < words; ++i) masks[i] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t b = p[i];
-    const std::uint64_t bit = (set[b >> 6] >> (b & 63u)) & 1u;
-    masks[i >> 6] |= bit << (i & 63u);
-  }
-}
+}  // namespace
 
-#ifdef BYTECACHE_X86
-
-// ---- sse2 tier ----------------------------------------------------------
-// Four interleaved lanes over a block-split of the position range.  Each
-// lane warms up with w from-scratch pushes at its block start, which is
-// exactly the from-scratch fingerprint of that window — so every lane
-// reproduces the serial scan's values bit-for-bit (no seam correction).
-// The lane state lives in general-purpose registers: SSE2 (the x86-64
-// baseline this tier targets) has no gather, and moving the two table
-// lookups per step through xmm extract/insert costs more than the lookup
-// itself.  The tier's win is purely breaking the roll latency chain.
-
-void fill_ilp4(const RabinTables& tables, const std::uint8_t* p, std::size_t n,
-               Fingerprint* out) {
+void fill_fingerprints(const RabinTables& tables, const std::uint8_t* p,
+                       std::size_t n, Fingerprint* out) {
   const std::size_t w = tables.window();
   const std::size_t positions = n - w + 1;
   constexpr std::size_t kLanes = 4;
   // Below ~32 positions per lane the warm-up (w extra pushes per lane)
-  // eats the ILP win; fall through to the serial reference.
+  // eats the ILP win; fall through to the serial scan.
   if (positions < kLanes * 32) {
-    fill_scalar(tables, p, n, out);
+    scan(tables, util::BytesView(p, n),
+         [out](std::size_t i, Fingerprint fp) { out[i] = fp; });
     return;
   }
   const std::size_t len = positions / kLanes;
@@ -100,99 +71,37 @@ void fill_ilp4(const RabinTables& tables, const std::uint8_t* p, std::size_t n,
   }
 }
 
-#endif  // BYTECACHE_X86
-
-// ---- kernel table and dispatch -----------------------------------------
-
-constexpr ScanKernel kScalarKernel{ScanKernelKind::kScalar, "scalar",
-                                   &fill_scalar, &mask_scalar};
-#ifdef BYTECACHE_X86
-constexpr ScanKernel kSse2Kernel{ScanKernelKind::kSse2, "sse2", &fill_ilp4,
-                                 &mask_scalar};
-// The AVX2 tier shares fill_ilp4: a vpgatherqq vector roll was measured
-// ~1.8x slower than the 4-lane GPR fill (gathers lose to scalar L1
-// loads for these table sizes), so the tier's delta is the vectorized
-// SAMPLEBYTE membership classification.
-constexpr ScanKernel kAvx2Kernel{ScanKernelKind::kAvx2, "avx2", &fill_ilp4,
-                                 &detail::mask_avx2};
-#endif
-
-bool env_flag_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-const ScanKernel* detect() {
-  const ScanKernel* best = &kScalarKernel;
-#ifdef BYTECACHE_X86
-  best = &kSse2Kernel;
-  if (__builtin_cpu_supports("avx2")) best = &kAvx2Kernel;
-#endif
-  // Explicit tier pin (clamped to what the CPU supports) ...
-  if (const char* v = std::getenv("BYTECACHE_SCAN_KERNEL")) {
-    if (std::strcmp(v, "scalar") == 0) {
-      best = &kScalarKernel;
-    } else if (std::strcmp(v, "sse2") == 0) {
-      best = &scan_kernel(ScanKernelKind::kSse2);
-    } else if (std::strcmp(v, "avx2") == 0) {
-      best = &scan_kernel(ScanKernelKind::kAvx2);
-    }
+void detail::mask_portable(const ByteSet& set, const std::uint8_t* p,
+                           std::size_t n, std::uint64_t* masks) {
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    std::uint64_t m = 0;
+    for (unsigned g = 0; g < 8; ++g) m |= pack8(set, p + i + 8 * g) << (8 * g);
+    masks[i >> 6] = m;
   }
-  // ... but the kill switch always wins.
-  if (env_flag_set("BYTECACHE_DISABLE_SIMD")) best = &kScalarKernel;
-  return best;
+  if (i < n) {
+    std::uint64_t m = 0;
+    for (std::size_t k = i; k < n; ++k) {
+      m |= std::uint64_t{set[p[k]]} << (k - i);
+    }
+    masks[i >> 6] = m;
+  }
 }
 
-std::atomic<const ScanKernel*> g_kernel{nullptr};
-
-}  // namespace
+void member_mask(const ByteSet& set, const std::uint8_t* p, std::size_t n,
+                 std::uint64_t* masks) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (has_avx2()) {
+    detail::mask_avx2(set, p, n, masks);
+    return;
+  }
+#endif
+  detail::mask_portable(set, p, n, masks);
+}
 
 const ScanKernel& scan_kernel() {
-  const ScanKernel* k = g_kernel.load(std::memory_order_acquire);
-  if (k == nullptr) {
-    // Benign race: detect() is idempotent and every thread stores a
-    // pointer to the same immutable table entry.
-    k = detect();
-    g_kernel.store(k, std::memory_order_release);
-  }
-  return *k;
-}
-
-const ScanKernel& scan_kernel(ScanKernelKind kind) {
-  switch (kind) {
-    case ScanKernelKind::kAvx2:
-#ifdef BYTECACHE_X86
-      if (__builtin_cpu_supports("avx2")) return kAvx2Kernel;
-#endif
-      [[fallthrough]];
-    case ScanKernelKind::kSse2:
-#ifdef BYTECACHE_X86
-      return kSse2Kernel;
-#endif
-      [[fallthrough]];
-    case ScanKernelKind::kScalar:
-    default:
-      return kScalarKernel;
-  }
-}
-
-bool scan_kernel_available(ScanKernelKind kind) {
-  return scan_kernel(kind).kind == kind;
-}
-
-void refresh_scan_kernel() {
-  g_kernel.store(detect(), std::memory_order_release);
-}
-
-ScopedScanKernel::ScopedScanKernel(ScanKernelKind kind)
-    : prev_(g_kernel.load(std::memory_order_acquire)) {
-  g_kernel.store(&scan_kernel(kind), std::memory_order_release);
-}
-
-ScopedScanKernel::~ScopedScanKernel() {
-  // prev_ may be nullptr (dispatch never ran): restoring it simply makes
-  // the next scan_kernel() call re-detect.
-  g_kernel.store(prev_, std::memory_order_release);
+  static const ScanKernel kernel{has_avx2() ? "avx2" : "portable"};
+  return kernel;
 }
 
 }  // namespace bytecache::rabin

@@ -1,40 +1,26 @@
-// Runtime-dispatched scan kernels: the data-plane entry point for
-// filling per-position Rabin fingerprints (and SAMPLEBYTE membership
-// masks) with instruction-level parallelism.
+// The data-plane scan kernels: per-position Rabin fingerprints and
+// SAMPLEBYTE membership masks, the first phase of every two-phase anchor
+// selection in window.cc.
 //
 // The byte-serial roll loop in window.h is latency-bound: each step's
 // push-table load feeds the next step's index, so a single lane runs at
-// one L1 load latency per byte.  The kernels here break that chain by
-// block-splitting the payload into K independent lanes, each warmed up
+// one L1 load latency per byte.  fill_fingerprints breaks that chain by
+// block-splitting the payload into 4 independent lanes, each warmed up
 // with w from-scratch pushes at its block start.  The warm-up is what
 // makes the split *bit-identical* to the serial scan: the rolled
 // fingerprint at any position equals the from-scratch fingerprint of
 // that window (an identity the equivalence tests pin), so every lane
 // reproduces exactly the values the serial loop would have produced —
-// there is no seam approximation to patch up.
+// there is no seam approximation to patch up.  The lane state lives in
+// general-purpose registers: a vpgatherqq vector roll was measured ~1.8x
+// slower (gathers lose to two scalar L1 loads per step; DESIGN.md §7.1).
+//
+// member_mask is the one place with an ISA-specific body: on x86 CPUs
+// with AVX2 it classifies 32 bytes per step with nibble pshufb lookups
+// (scan_kernel_avx2.cc, the only target("avx2") function); elsewhere it
+// runs a portable word-at-a-time mask.  Both write identical bits; the
+// choice follows the CPU and has no user override.
 #pragma once
-
-//
-// Tiers (runtime CPUID dispatch, scalar always compiled and always the
-// oracle):
-//   kScalar  the serial reference — identical code to the fused scan in
-//            window.cc; what BYTECACHE_DISABLE_SIMD=1 selects.
-//   kSse2    4 interleaved lanes targeting the x86-64 baseline (SSE2)
-//            ISA.  The lane state intentionally lives in general-purpose
-//            registers: SSE2 has no gather, so vectorizing the two table
-//            lookups per step costs more in lane extract/insert traffic
-//            than it saves, and the tier's entire win is breaking the
-//            roll dependency chain across 4 lanes.
-//   kAvx2    same block-split fill as kSse2 — a vpgatherqq-based vector
-//            roll was implemented and measured ~1.8x SLOWER than the
-//            4-lane GPR fill on the target Xeon (gather throughput loses
-//            to two scalar L1 loads per step; see DESIGN.md §7) — plus a
-//            genuinely vector SAMPLEBYTE membership path: 32 bytes per
-//            step classified against the 256-bit sample bitmap with
-//            nibble pshufb lookups.
-//
-// Selection (value sampling / MAXP / SAMPLEBYTE skip walk) stays scalar
-// and runs as a second phase over the filled arrays — see window.cc.
 
 #include <array>
 #include <cstddef>
@@ -44,56 +30,42 @@
 
 namespace bytecache::rabin {
 
-enum class ScanKernelKind : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// A 256-entry membership set: entry b is 1 iff byte value b is a member,
+/// 0 otherwise (the SAMPLEBYTE sample set).
+using ByteSet = std::array<std::uint8_t, 256>;
 
-/// One kernel tier.  Plain function pointers (no std::function — this is
-/// the hot path; see tools/lint.py bc-hotpath).
+/// Writes out[i] = fingerprint of the w-byte window starting at payload
+/// position i, for every full-window position i in [0, n - w].  Requires
+/// n >= w and out sized for n - w + 1 entries.
+void fill_fingerprints(const RabinTables& tables, const std::uint8_t* p,
+                       std::size_t n, Fingerprint* out);
+
+/// Sets bit i of masks[] iff set[p[i]] == 1.  masks must hold
+/// (n + 63) / 64 words; bits past n are written zero.
+void member_mask(const ByteSet& set, const std::uint8_t* p, std::size_t n,
+                 std::uint64_t* masks);
+
+/// Names the mask implementation member_mask runs on this CPU ("avx2" or
+/// "portable"), for bench environment lines.
 struct ScanKernel {
-  ScanKernelKind kind;
-  const char* name;  // "scalar" | "sse2" | "avx2" (stamped into bench JSON)
-
-  /// Writes out[i] = fingerprint of the w-byte window starting at
-  /// payload position i, for every full-window position i in
-  /// [0, n - w].  Requires n >= w and out sized for n - w + 1 entries.
-  void (*fill_fingerprints)(const RabinTables& tables, const std::uint8_t* p,
-                            std::size_t n, Fingerprint* out);
-
-  /// Sets bit i of masks[] iff byte p[i] is in the 256-entry membership
-  /// set (SAMPLEBYTE sample set).  masks must hold (n + 63) / 64 words;
-  /// bits past n are written zero.
-  void (*member_mask)(const std::array<std::uint64_t, 4>& set,
-                      const std::uint8_t* p, std::size_t n,
-                      std::uint64_t* masks);
+  const char* name;
 };
-
-/// The dispatched kernel: best tier the CPU supports, unless overridden
-/// by environment (`BYTECACHE_DISABLE_SIMD=1` forces scalar;
-/// `BYTECACHE_SCAN_KERNEL=scalar|sse2|avx2` pins a tier, clamped to what
-/// the CPU supports).  Detection runs once and is cached; call
-/// refresh_scan_kernel() after changing the environment (tests).
 [[nodiscard]] const ScanKernel& scan_kernel();
 
-/// A specific tier, for equivalence tests and benches.  Requesting an
-/// unavailable tier returns the best available tier below it.
-[[nodiscard]] const ScanKernel& scan_kernel(ScanKernelKind kind);
+namespace detail {
 
-/// True if `kind` is compiled in and supported by this CPU.
-[[nodiscard]] bool scan_kernel_available(ScanKernelKind kind);
+/// Portable member_mask: each 64-bit word is built in a register, eight
+/// table reads at a time packed into one byte by a multiply.
+void mask_portable(const ByteSet& set, const std::uint8_t* p, std::size_t n,
+                   std::uint64_t* masks);
 
-/// Re-runs CPUID + environment detection (after setenv in tests).
-void refresh_scan_kernel();
+#if defined(__x86_64__) || defined(__i386__)
+/// AVX2 member_mask (scan_kernel_avx2.cc).  Call only on a CPU that
+/// supports AVX2.
+void mask_avx2(const ByteSet& set, const std::uint8_t* p, std::size_t n,
+               std::uint64_t* masks);
+#endif
 
-/// RAII override of the dispatched kernel for tests/benches.  Not
-/// thread-safe: construct before spawning workers.
-class ScopedScanKernel {
- public:
-  explicit ScopedScanKernel(ScanKernelKind kind);
-  ~ScopedScanKernel();
-  ScopedScanKernel(const ScopedScanKernel&) = delete;
-  ScopedScanKernel& operator=(const ScopedScanKernel&) = delete;
-
- private:
-  const ScanKernel* prev_;
-};
+}  // namespace detail
 
 }  // namespace bytecache::rabin

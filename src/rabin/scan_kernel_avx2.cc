@@ -1,14 +1,8 @@
-// AVX2 tier of the scan kernels (see scan_kernel.h for the design).
-// This translation unit is the only one that emits AVX2 instructions;
-// every function carries a target("avx2") attribute so the file builds
-// without -mavx2 and the library as a whole stays baseline-ISA.
-// Dispatch in scan_kernel.cc guarantees these functions are only ever
-// called after __builtin_cpu_supports("avx2").
-//
-// Only SAMPLEBYTE membership lives here: the fingerprint fill is shared
-// with the sse2 tier (block-split GPR lanes) because a vpgatherqq-based
-// vector roll measured ~1.8x slower on the target Xeon — the two table
-// lookups per step come straight from L1 and beat gather throughput.
+// AVX2 body of member_mask (see scan_kernel.h).  This translation unit
+// is the only one that emits AVX2 instructions; its one function carries
+// a target("avx2") attribute so the file builds without -mavx2 and the
+// library as a whole stays baseline-ISA.  member_mask calls it only after
+// __builtin_cpu_supports("avx2").
 
 #include "rabin/scan_kernel.h"
 
@@ -21,22 +15,17 @@ namespace bytecache::rabin::detail {
 // SAMPLEBYTE membership, 32 bytes per step via nibble decomposition:
 // byte b = (h << 4) | l is in the set iff bit h of row[l] is set, where
 // the 16 rows are split into two pshufb tables (h in 0..7 and 8..15).
-__attribute__((target("avx2"))) void mask_avx2(
-    const std::array<std::uint64_t, 4>& set, const std::uint8_t* p,
-    std::size_t n, std::uint64_t* masks) {
+__attribute__((target("avx2"))) void mask_avx2(const ByteSet& set,
+                                               const std::uint8_t* p,
+                                               std::size_t n,
+                                               std::uint64_t* masks) {
   alignas(16) std::uint8_t rows0[16];
   alignas(16) std::uint8_t rows1[16];
-  for (int l = 0; l < 16; ++l) {
+  for (unsigned l = 0; l < 16; ++l) {
     std::uint8_t r0 = 0, r1 = 0;
-    for (int h = 0; h < 8; ++h) {
-      const int b0 = (h << 4) | l;
-      const int b1 = ((h + 8) << 4) | l;
-      if ((set[static_cast<std::size_t>(b0) >> 6] >> (b0 & 63)) & 1u) {
-        r0 |= static_cast<std::uint8_t>(1u << h);
-      }
-      if ((set[static_cast<std::size_t>(b1) >> 6] >> (b1 & 63)) & 1u) {
-        r1 |= static_cast<std::uint8_t>(1u << h);
-      }
+    for (unsigned h = 0; h < 8; ++h) {
+      r0 |= static_cast<std::uint8_t>(set[(h << 4) | l] << h);
+      r1 |= static_cast<std::uint8_t>(set[((h + 8) << 4) | l] << h);
     }
     rows0[l] = r0;
     rows1[l] = r1;
@@ -75,9 +64,7 @@ __attribute__((target("avx2"))) void mask_avx2(
   if (i < n) {
     std::uint64_t m = 0;
     for (std::size_t k = i; k < n; ++k) {
-      const std::uint8_t b = p[k];
-      const std::uint64_t bit = (set[b >> 6] >> (b & 63u)) & 1u;
-      m |= bit << (k - i);
+      m |= std::uint64_t{set[p[k]]} << (k - i);
     }
     masks[word] = m;
   }

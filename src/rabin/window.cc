@@ -1,6 +1,5 @@
 #include "rabin/window.h"
 
-#include <array>
 #include <bit>
 
 #include "rabin/scan_kernel.h"
@@ -25,19 +24,15 @@ std::size_t scan_erased(const RabinTables& tables, util::BytesView payload,
   return scan(tables, payload, sink);
 }
 
-// The selection functions below have two code paths with pinned-identical
-// output (tests/simd_kernel_test.cc) — except MAXP, which always runs
-// fused (see the comment in selected_anchors_maxp_into):
-//   scalar kernel  the original fused single pass — scan() inlines the
-//                  selection into the roll loop.  This is the oracle and
-//                  the BYTECACHE_DISABLE_SIMD=1 fallback.
-//   SIMD kernels   two phases: the dispatched kernel fills a
-//                  per-position fingerprint array (K independent lanes,
-//                  each warmed up from scratch so lane values are
-//                  bit-identical to the serial roll), then selection
-//                  runs scalar over the array.  Selection decouples from
-//                  the byte-serial hash exactly as in Anand et al.
-//                  (SIGMETRICS 2009), which is what makes the split pay.
+// Value sampling and SAMPLEBYTE select in two phases: a scan kernel
+// (scan_kernel.h) first fills a per-position array — fingerprints from 4
+// independent lanes, each warmed up from scratch so lane values are
+// bit-identical to the serial roll, or SAMPLEBYTE membership bits — and
+// selection then runs over the array.  Selection decouples from the
+// byte-serial hash exactly as in Anand et al. (SIGMETRICS 2009), which is
+// what makes the split pay.  MAXP stays fused into the serial scan (see
+// the comment in selected_anchors_maxp_into).  tests/simd_kernel_test.cc
+// pins every path against a naive oracle.
 
 void selected_anchors_into(const RabinTables& tables, util::BytesView payload,
                            unsigned select_bits, std::vector<Anchor>& out,
@@ -48,19 +43,10 @@ void selected_anchors_into(const RabinTables& tables, util::BytesView payload,
   out.reserve((payload.size() >> select_bits) + 8);
   const std::size_t w = tables.window();
   if (payload.size() < w) return;
-  const ScanKernel& kernel = scan_kernel();
-  if (kernel.kind == ScanKernelKind::kScalar) {
-    scan(tables, payload, [&](std::size_t off, Fingerprint fp) {
-      if (selected(fp, select_bits)) {
-        out.push_back(Anchor{static_cast<std::uint16_t>(off), fp});
-      }
-    });
-    return;
-  }
   const std::size_t positions = payload.size() - w + 1;
   scan_ws.fps.resize(positions);
-  kernel.fill_fingerprints(tables, payload.data(), payload.size(),
-                           scan_ws.fps.data());
+  fill_fingerprints(tables, payload.data(), payload.size(),
+                    scan_ws.fps.data());
   const Fingerprint* fps = scan_ws.fps.data();
   for (std::size_t i = 0; i < positions; ++i) {
     if (selected(fps[i], select_bits)) {
@@ -85,9 +71,8 @@ std::vector<Anchor> selected_anchors(const RabinTables& tables,
 
 namespace {
 
-// The MAXP monotonic-queue step, shared verbatim by the fused and
-// two-phase paths so their selection logic cannot drift.  See the block
-// comment in selected_anchors_maxp_into for the queue invariants.
+// The MAXP monotonic-queue step.  See the block comment in
+// selected_anchors_maxp_into for the queue invariants.
 struct MaxpQueue {
   MaxpScratch::Candidate* ring;
   std::size_t mask;
@@ -114,8 +99,8 @@ struct MaxpQueue {
 
 void selected_anchors_maxp_into(const RabinTables& tables,
                                 util::BytesView payload, std::size_t p,
-                                std::vector<Anchor>& out, MaxpScratch& scratch,
-                                ScanScratch& scan_ws) {
+                                std::vector<Anchor>& out,
+                                MaxpScratch& scratch) {
   out.clear();
   const std::size_t w = tables.window();
   if (payload.size() < w || p == 0) return;
@@ -136,24 +121,14 @@ void selected_anchors_maxp_into(const RabinTables& tables,
   if (ring.size() < cap) ring.resize(cap);
   MaxpQueue queue{ring.data(), cap - 1, p};
 
-  // MAXP stays fused under EVERY kernel tier: the monotonic-queue step
-  // is branch-heavy (its mispredictions dominate) and overlaps the roll
-  // loop's load-latency chain essentially for free, so a separate
-  // kernel-fill pass was measured net SLOWER (the fill win is smaller
-  // than the cost of running the queue as a second serial pass) — see
-  // bench_micro_rabin's BM_SelectedAnchorsMaxp vs ...MaxpScalar.
-  (void)scan_ws;
+  // MAXP stays fused: the monotonic-queue step is branch-heavy (its
+  // mispredictions dominate) and overlaps the roll loop's load-latency
+  // chain essentially for free, so a separate fill_fingerprints pass was
+  // measured net SLOWER (the fill win is smaller than the cost of running
+  // the queue as a second serial pass).
   scan(tables, payload, [&](std::size_t i, Fingerprint fp) {
     queue.step(i, fp, out);
   });
-}
-
-void selected_anchors_maxp_into(const RabinTables& tables,
-                                util::BytesView payload, std::size_t p,
-                                std::vector<Anchor>& out,
-                                MaxpScratch& scratch) {
-  ScanScratch scan_ws;
-  selected_anchors_maxp_into(tables, payload, p, out, scratch, scan_ws);
 }
 
 std::vector<Anchor> selected_anchors_maxp(const RabinTables& tables,
@@ -169,27 +144,25 @@ namespace {
 
 // SAMPLEBYTE's fixed sample set: byte values whose mixed hash lands in
 // 1/period of the space.  Content-independent, so both gateways agree.
-// Built as a 256-bit membership bitmap: the scan then tests one bit per
-// position instead of paying a 64-bit mix and division per byte.
-std::array<std::uint64_t, 4> samplebyte_set(unsigned period) {
-  std::array<std::uint64_t, 4> sampled{};
+// Built as a 256-entry 0/1 table: the mask kernel then reads one entry
+// per byte instead of paying a 64-bit mix and division per byte.
+ByteSet samplebyte_set(unsigned period) {
+  ByteSet sampled{};
   for (std::uint32_t b = 0; b < 256; ++b) {
     std::uint64_t state = b;
-    if (util::splitmix64(state) % period == 0) {
-      sampled[b >> 6] |= std::uint64_t{1} << (b & 63u);
-    }
+    sampled[b] = util::splitmix64(state) % period == 0 ? 1 : 0;
   }
   return sampled;
 }
 
-// Rebuilding the bitmap is 256 hash+divide rounds — measured at roughly
+// Rebuilding the table is 256 hash+divide rounds — measured at roughly
 // a third of the whole SAMPLEBYTE cost on an MSS payload — and a codec
 // uses one period for its lifetime, so cache the last set per thread.
 // (period is validated non-zero by the caller, so 0 is a safe "empty"
 // sentinel.)
-const std::array<std::uint64_t, 4>& samplebyte_set_cached(unsigned period) {
+const ByteSet& samplebyte_set_cached(unsigned period) {
   thread_local unsigned cached_period = 0;
-  thread_local std::array<std::uint64_t, 4> cached{};
+  thread_local ByteSet cached{};
   if (cached_period != period) {
     cached = samplebyte_set(period);
     cached_period = period;
@@ -208,31 +181,15 @@ void selected_anchors_samplebyte_into(const RabinTables& tables,
   const std::size_t w = tables.window();
   if (payload.size() < w || period == 0) return;
   out.reserve(payload.size() / (period * (skip > 0 ? skip : 1)) + 8);
-  const std::array<std::uint64_t, 4>& sampled = samplebyte_set_cached(period);
-  const ScanKernel& kernel = scan_kernel();
-  if (kernel.kind == ScanKernelKind::kScalar) {
-    for (std::size_t i = 0; i + w <= payload.size();) {
-      const std::uint8_t b = payload[i];
-      if ((sampled[b >> 6] >> (b & 63u)) & 1u) {
-        out.push_back(Anchor{static_cast<std::uint16_t>(i),
-                             tables.of(payload.subspan(i, w))});
-        i += skip > 0 ? skip : 1;
-      } else {
-        ++i;
-      }
-    }
-    return;
-  }
-
-  // Phase 1: membership bits for every byte, 32 at a time under AVX2.
+  // Phase 1: membership bits for every byte.
   const std::size_t n = payload.size();
   const std::uint8_t* p = payload.data();
   scan_ws.masks.resize((n + 63) / 64);
-  kernel.member_mask(sampled, p, n, scan_ws.masks.data());
+  member_mask(samplebyte_set_cached(period), p, n, scan_ws.masks.data());
 
-  // Phase 2: the skip walk.  Jumping to the next set bit visits exactly
-  // the positions the scalar loop's `++i` path would have tested and
-  // rejected, so the anchor sequence is identical.
+  // Phase 2: the skip walk.  Jumping to the next set bit skips exactly
+  // the positions a byte-at-a-time walk would have tested and rejected,
+  // so the anchor sequence is that walk's.
   const std::size_t limit = n - w;  // last valid anchor position
   const std::size_t last_word = limit >> 6;
   scan_ws.positions.clear();

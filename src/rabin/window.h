@@ -123,10 +123,8 @@ std::size_t scan_erased(const RabinTables& tables, util::BytesView payload,
                         ScanSink sink);
 
 /// Reusable buffers for the two-phase anchor-selection paths (kernel
-/// fill + scalar select — see scan_kernel.h).  Encoder and Decoder each
-/// own one, so steady-state selection never touches the allocator.  With
-/// the scalar kernel dispatched, selection runs fused (the original
-/// single-pass code) and these buffers stay untouched.
+/// fill + select — see scan_kernel.h).  Encoder and Decoder each own
+/// one, so steady-state selection never touches the allocator.
 struct ScanScratch {
   std::vector<Fingerprint> fps;          // per-position fingerprints
   std::vector<std::uint64_t> masks;      // SAMPLEBYTE membership bitset
@@ -170,10 +168,6 @@ void selected_anchors_maxp_into(const RabinTables& tables,
                                 util::BytesView payload, std::size_t p,
                                 std::vector<Anchor>& out,
                                 MaxpScratch& scratch);
-void selected_anchors_maxp_into(const RabinTables& tables,
-                                util::BytesView payload, std::size_t p,
-                                std::vector<Anchor>& out, MaxpScratch& scratch,
-                                ScanScratch& scan);
 [[nodiscard]] std::vector<Anchor> selected_anchors_maxp(
     const RabinTables& tables, util::BytesView payload, std::size_t p);
 

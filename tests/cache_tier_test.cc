@@ -80,6 +80,14 @@ TEST(CacheTier, NoL2IsPlainByteCache) {
   tier.audit();
 }
 
+// An L2 budget with no store to spend it in would quietly run as a flat
+// L1; the constructor refuses it instead.
+TEST(CacheTierDeathTest, L2BudgetWithoutStoreDies) {
+  CacheConfig cc;
+  cc.l2_bytes = 64 * 1024;
+  EXPECT_DEATH(CacheTier tier(cc), "needs an L2Store");
+}
+
 TEST(CacheTier, L2HitServesWithoutPromotion) {
   CacheConfig cc;
   cc.l1_bytes = 250;  // two 100-byte payloads

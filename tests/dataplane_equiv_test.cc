@@ -207,34 +207,6 @@ TEST(FingerprintTableEquiv, RandomOpsMatchReferenceModel) {
 
 // ---------------------------------------------------- selection sweeps --
 
-/// Brute-force MAXP reference: for every window of `p` consecutive
-/// positions, take the rightmost maximum-fingerprint position by direct
-/// argmax over recomputed fingerprints (O(n*p); no monotonic queue, so
-/// it shares no machinery with the implementation under test).
-std::vector<rabin::Anchor> maxp_reference(const rabin::RabinTables& tables,
-                                          util::BytesView payload,
-                                          std::size_t p) {
-  std::vector<rabin::Anchor> out;
-  const std::size_t w = tables.window();
-  if (payload.size() < w || p == 0) return out;
-  std::vector<rabin::Fingerprint> fps;
-  for (std::size_t i = 0; i + w <= payload.size(); ++i) {
-    fps.push_back(tables.of(payload.subspan(i, w)));
-  }
-  std::size_t last = fps.size();  // sentinel: no anchor emitted yet
-  for (std::size_t end = p - 1; end < fps.size(); ++end) {
-    std::size_t best = end + 1 - p;
-    for (std::size_t j = best + 1; j <= end; ++j) {
-      if (fps[j] >= fps[best]) best = j;  // >=: rightmost wins ties
-    }
-    if (best != last) {
-      last = best;
-      out.push_back(rabin::Anchor{static_cast<std::uint16_t>(best), fps[best]});
-    }
-  }
-  return out;
-}
-
 // Sweeps p across powers of two (where a ring sized bit_ceil(p) == p
 // would be overwritten by the transient p+1-th candidate), their
 // neighbours, and the default 31.
@@ -258,7 +230,7 @@ TEST(MaxpEquiv, MatchesBruteForceReferenceAcrossP) {
       for (auto& b : payload) {
         b = static_cast<std::uint8_t>(rng.uniform(0, trial % 2 ? 3 : 255));
       }
-      const auto expected = maxp_reference(tables, payload, p);
+      const auto expected = testutil::maxp_reference(tables, payload, p);
       rabin::selected_anchors_maxp_into(tables, payload, p, out, scratch);
       ASSERT_EQ(out, expected) << "p=" << p << " n=" << n;
       ASSERT_EQ(out, rabin::selected_anchors_maxp(tables, payload, p))
@@ -273,14 +245,8 @@ TEST(ValueSamplingEquiv, MatchesRecomputeReferenceAcrossSelectBits) {
   for (const unsigned bits : {0u, 1u, 2u, 4u, 8u, 12u}) {
     for (int trial = 0; trial < 10; ++trial) {
       const Bytes payload = random_bytes(rng, rng.uniform(1, 1460));
-      std::vector<rabin::Anchor> expected;
-      for (std::size_t i = 0; i + 16 <= payload.size(); ++i) {
-        const auto fp = tables.of(util::BytesView(payload).subspan(i, 16));
-        if (rabin::selected(fp, bits)) {
-          expected.push_back(rabin::Anchor{static_cast<std::uint16_t>(i), fp});
-        }
-      }
-      ASSERT_EQ(rabin::selected_anchors(tables, payload, bits), expected)
+      ASSERT_EQ(rabin::selected_anchors(tables, payload, bits),
+                testutil::value_sampling_reference(tables, payload, bits))
           << "bits=" << bits << " n=" << payload.size();
     }
   }
@@ -295,22 +261,9 @@ TEST(SampleByteEquiv, MatchesNaiveReferenceAcrossPeriodAndSkip) {
           std::size_t{300}}) {
       for (int trial = 0; trial < 5; ++trial) {
         const Bytes payload = random_bytes(rng, rng.uniform(1, 1460));
-        // Naive reference: per-byte hash + division, no membership bitmap.
-        std::vector<rabin::Anchor> expected;
-        for (std::size_t i = 0; i + 16 <= payload.size();) {
-          std::uint64_t state = payload[i];
-          if (util::splitmix64(state) % period == 0) {
-            expected.push_back(rabin::Anchor{
-                static_cast<std::uint16_t>(i),
-                tables.of(util::BytesView(payload).subspan(i, 16))});
-            i += skip > 0 ? skip : 1;
-          } else {
-            ++i;
-          }
-        }
         ASSERT_EQ(
             rabin::selected_anchors_samplebyte(tables, payload, period, skip),
-            expected)
+            testutil::samplebyte_reference(tables, payload, period, skip))
             << "period=" << period << " skip=" << skip;
       }
     }

@@ -1,17 +1,17 @@
-// Equivalence tests for the runtime-dispatched scan kernels
-// (rabin/scan_kernel.h): every SIMD tier must be bit-identical to the
-// scalar reference — same fingerprints, same anchors, same wire bytes —
-// on every input, or the cache contents silently fork between peers.
+// Equivalence tests for the scan kernels (rabin/scan_kernel.h): the
+// block-split fill must reproduce the serial scan, both mask bodies must
+// reproduce the naive bit loop, and selection through them must equal
+// the naive oracles in tests/testutil.h — same fingerprints, same
+// anchors, on every input, or the cache contents silently fork between
+// peers.  The golden wire vectors pin the resulting wire bytes.
 //
-// The size sweeps deliberately hug the seams: payloads at and around
-// multiples of the widest vector step (the AVX2 membership path eats 32
-// bytes per iteration and writes 64-bit mask words) and around the w-1
-// positions at the end where no full window fits, because that is where
-// a lane-split or tail loop goes wrong first.
+// The size sweeps deliberately hug the seams: payloads below one mask
+// word, at and around multiples of the widest vector step (the AVX2 mask
+// eats 32 bytes per iteration and writes 64-bit words) and around the
+// w-1 positions at the end where no full window fits, because that is
+// where a lane-split or tail loop goes wrong first.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,21 +33,13 @@ using testutil::test_encoder;
 using util::Bytes;
 using util::Rng;
 
-std::vector<rabin::ScanKernelKind> available_kernels() {
-  std::vector<rabin::ScanKernelKind> out;
-  for (const auto kind :
-       {rabin::ScanKernelKind::kScalar, rabin::ScanKernelKind::kSse2,
-        rabin::ScanKernelKind::kAvx2}) {
-    if (rabin::scan_kernel_available(kind)) out.push_back(kind);
-  }
-  return out;
-}
-
-/// Sizes that straddle the interesting boundaries: multiples of the
-/// 32/64-byte vector strides (+/- 2) and the window edge, plus a few
-/// larger odd sizes so every lane of the block split gets a tail.
+/// Sizes that straddle the interesting boundaries: the window edge,
+/// every size below one 64-bit mask word, multiples of the 32/64-byte
+/// vector strides (+/- 2), plus a few larger odd sizes so every lane of
+/// the block split gets a tail.
 std::vector<std::size_t> seam_sizes(std::size_t w) {
   std::vector<std::size_t> sizes = {w, w + 1, w + 2, 2 * w - 1, 2 * w + 1};
+  for (std::size_t n = 1; n < 64; ++n) sizes.push_back(n);
   for (const std::size_t base : {std::size_t{64}, std::size_t{128},
                                  std::size_t{256}, std::size_t{1024},
                                  std::size_t{1460}, std::size_t{4096}}) {
@@ -56,79 +48,120 @@ std::vector<std::size_t> seam_sizes(std::size_t w) {
   return sizes;
 }
 
-// ------------------------------------------------------- kernel fills --
+/// The serial reference fill: the fused scan() template.
+std::vector<rabin::Fingerprint> scan_reference(const rabin::RabinTables& tables,
+                                               util::BytesView payload) {
+  std::vector<rabin::Fingerprint> out;
+  rabin::scan(tables, payload,
+              [&](std::size_t, rabin::Fingerprint fp) { out.push_back(fp); });
+  return out;
+}
+
+// ---------------------------------------------------------------- fill --
 
 TEST(ScanKernelEquiv, FillMatchesScalarAtSeamSizes) {
   for (const std::size_t w : {std::size_t{16}, std::size_t{32},
                               std::size_t{64}}) {
     const rabin::RabinTables tables(w);
-    const rabin::ScanKernel& scalar =
-        rabin::scan_kernel(rabin::ScanKernelKind::kScalar);
     Rng rng(testutil::test_seed(201));
     for (const std::size_t n : seam_sizes(w)) {
       if (n < w) continue;
       const Bytes payload = random_bytes(rng, n);
-      std::vector<rabin::Fingerprint> expected(n - w + 1);
-      scalar.fill_fingerprints(tables, payload.data(), n, expected.data());
-      for (const auto kind : available_kernels()) {
-        const rabin::ScanKernel& kernel = rabin::scan_kernel(kind);
-        // Poisoned output: a position the kernel forgets to write shows
-        // up as the sentinel, not as luckily-matching stale data.
-        std::vector<rabin::Fingerprint> got(n - w + 1, 0xDEADDEADDEADDEAD);
-        kernel.fill_fingerprints(tables, payload.data(), n, got.data());
-        ASSERT_EQ(got, expected) << kernel.name << " w=" << w << " n=" << n;
-      }
+      // Poisoned output: a position the fill forgets to write shows up
+      // as the sentinel, not as luckily-matching stale data.
+      std::vector<rabin::Fingerprint> got(n - w + 1, 0xDEADDEADDEADDEAD);
+      rabin::fill_fingerprints(tables, payload.data(), n, got.data());
+      ASSERT_EQ(got, scan_reference(tables, payload)) << "w=" << w
+                                                      << " n=" << n;
     }
   }
 }
 
 TEST(ScanKernelEquiv, FillMatchesScalarOnRandomSizes) {
   const rabin::RabinTables tables(16);
-  const rabin::ScanKernel& scalar =
-      rabin::scan_kernel(rabin::ScanKernelKind::kScalar);
   Rng rng(testutil::test_seed(202));
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = rng.uniform(16, 3000);
     const Bytes payload = random_bytes(rng, n);
-    std::vector<rabin::Fingerprint> expected(n - 16 + 1);
-    scalar.fill_fingerprints(tables, payload.data(), n, expected.data());
-    for (const auto kind : available_kernels()) {
-      std::vector<rabin::Fingerprint> got(n - 16 + 1);
-      rabin::scan_kernel(kind).fill_fingerprints(tables, payload.data(), n,
-                                                 got.data());
-      ASSERT_EQ(got, expected)
-          << rabin::scan_kernel(kind).name << " n=" << n;
-    }
+    std::vector<rabin::Fingerprint> got(n - 16 + 1);
+    rabin::fill_fingerprints(tables, payload.data(), n, got.data());
+    ASSERT_EQ(got, scan_reference(tables, payload)) << "n=" << n;
   }
+}
+
+// ---------------------------------------------------------------- mask --
+
+using MaskFn = void (*)(const rabin::ByteSet&, const std::uint8_t*,
+                        std::size_t, std::uint64_t*);
+
+struct MaskImpl {
+  const char* name;
+  MaskFn fn;
+};
+
+/// Both mask bodies this CPU can run, plus the member_mask entry point.
+std::vector<MaskImpl> mask_impls() {
+  std::vector<MaskImpl> out = {{"portable", &rabin::detail::mask_portable},
+                              {"member_mask", &rabin::member_mask}};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) {
+    out.push_back({"avx2", &rabin::detail::mask_avx2});
+  }
+#endif
+  return out;
+}
+
+std::vector<std::uint64_t> naive_mask(const rabin::ByteSet& set,
+                                      const Bytes& payload) {
+  std::vector<std::uint64_t> out((payload.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    if (set[payload[i]] != 0) out[i >> 6] |= std::uint64_t{1} << (i & 63u);
+  }
+  return out;
+}
+
+void expect_masks_match(const rabin::ByteSet& set, const Bytes& payload,
+                        const std::string& what) {
+  const std::vector<std::uint64_t> expected = naive_mask(set, payload);
+  for (const MaskImpl& impl : mask_impls()) {
+    // Pre-set garbage: bits past n must come back zero, not survive.
+    std::vector<std::uint64_t> got(expected.size(), ~std::uint64_t{0});
+    impl.fn(set, payload.data(), payload.size(), got.data());
+    ASSERT_EQ(got, expected) << impl.name << " " << what;
+  }
+}
+
+/// A random membership set; every tenth is empty and every tenth (offset
+/// by five) full, so the extremes are always covered.
+rabin::ByteSet random_set(Rng& rng, int trial) {
+  rabin::ByteSet set{};
+  for (auto& e : set) {
+    e = trial % 10 == 0 ? 0 : trial % 10 == 5 ? 1 : (rng.next_u64() & 1u);
+  }
+  return set;
 }
 
 TEST(ScanKernelEquiv, MemberMaskMatchesNaiveBitLoop) {
   Rng rng(testutil::test_seed(203));
-  for (int trial = 0; trial < 60; ++trial) {
-    // Random membership sets, including the empty and full extremes.
-    std::array<std::uint64_t, 4> set{};
-    if (trial % 10 != 0) {
-      for (auto& word : set) word = rng.next_u64();
-    }
-    if (trial % 10 == 5) set.fill(~std::uint64_t{0});
-    const std::size_t n =
-        trial < 8 ? static_cast<std::size_t>(trial) : rng.uniform(1, 2000);
-    const Bytes payload = random_bytes(rng, n);
-    const std::size_t words = (n + 63) / 64;
-    std::vector<std::uint64_t> expected(words, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t b = payload[i];
-      if ((set[b >> 6] >> (b & 63u)) & 1u) {
-        expected[i >> 6] |= std::uint64_t{1} << (i & 63u);
-      }
-    }
-    for (const auto kind : available_kernels()) {
-      // Pre-set garbage: bits past n must come back zero, not survive.
-      std::vector<std::uint64_t> got(words, ~std::uint64_t{0});
-      rabin::scan_kernel(kind).member_mask(set, payload.data(), n,
-                                           got.data());
-      ASSERT_EQ(got, expected)
-          << rabin::scan_kernel(kind).name << " n=" << n;
+  int trial = 0;
+  for (const std::size_t n : seam_sizes(16)) {
+    const rabin::ByteSet set = random_set(rng, trial++);
+    expect_masks_match(set, random_bytes(rng, n), "n=" + std::to_string(n));
+  }
+  for (; trial < 100; ++trial) {
+    const rabin::ByteSet set = random_set(rng, trial);
+    const std::size_t n = rng.uniform(1, 2000);
+    expect_masks_match(set, random_bytes(rng, n), "n=" + std::to_string(n));
+  }
+}
+
+TEST(ScanKernelEquiv, MemberMaskOnEverySingleByteInput) {
+  Rng rng(testutil::test_seed(206));
+  for (int trial = 0; trial < 12; ++trial) {
+    const rabin::ByteSet set = random_set(rng, trial);
+    for (unsigned b = 0; b < 256; ++b) {
+      expect_masks_match(set, Bytes{static_cast<std::uint8_t>(b)},
+                         "byte=" + std::to_string(b));
     }
   }
 }
@@ -138,32 +171,19 @@ TEST(ScanKernelEquiv, MemberMaskMatchesNaiveBitLoop) {
 TEST(ScanKernelEquiv, SelectionIdenticalUnderEveryKernel) {
   const rabin::RabinTables tables(16);
   Rng rng(testutil::test_seed(204));
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = trial < 4 ? static_cast<std::size_t>(trial * 8)
-                                    : rng.uniform(1, 2000);
+  std::vector<std::size_t> sizes = seam_sizes(16);
+  for (int trial = 0; trial < 40; ++trial) sizes.push_back(rng.uniform(1, 2000));
+  for (const std::size_t n : sizes) {
     const Bytes payload = random_bytes(rng, n);
-    std::vector<rabin::Anchor> expected_vs;
-    std::vector<rabin::Anchor> expected_maxp;
-    std::vector<rabin::Anchor> expected_sb;
-    {
-      rabin::ScopedScanKernel pin(rabin::ScanKernelKind::kScalar);
-      expected_vs = rabin::selected_anchors(tables, payload, 4);
-      expected_maxp = rabin::selected_anchors_maxp(tables, payload, 31);
-      expected_sb =
-          rabin::selected_anchors_samplebyte(tables, payload, 16, 8);
-    }
-    for (const auto kind : available_kernels()) {
-      rabin::ScopedScanKernel pin(kind);
-      const char* name = rabin::scan_kernel().name;
-      ASSERT_EQ(rabin::selected_anchors(tables, payload, 4), expected_vs)
-          << name << " n=" << n;
-      ASSERT_EQ(rabin::selected_anchors_maxp(tables, payload, 31),
-                expected_maxp)
-          << name << " n=" << n;
-      ASSERT_EQ(rabin::selected_anchors_samplebyte(tables, payload, 16, 8),
-                expected_sb)
-          << name << " n=" << n;
-    }
+    ASSERT_EQ(rabin::selected_anchors(tables, payload, 4),
+              testutil::value_sampling_reference(tables, payload, 4))
+        << "n=" << n;
+    ASSERT_EQ(rabin::selected_anchors_maxp(tables, payload, 31),
+              testutil::maxp_reference(tables, payload, 31))
+        << "n=" << n;
+    ASSERT_EQ(rabin::selected_anchors_samplebyte(tables, payload, 16, 8),
+              testutil::samplebyte_reference(tables, payload, 16, 8))
+        << "n=" << n;
   }
 }
 
@@ -178,8 +198,7 @@ struct E2EConfig {
 };
 
 // The six tracked data-plane configurations (mirrors bench_throughput's
-// workload list): kernel choice must never change a single wire byte in
-// any of them.
+// workload list).
 constexpr E2EConfig kConfigs[] = {
     {"naive_valuesampling", core::PolicyKind::kNaive,
      core::SelectMode::kValueSampling, 0, false},
@@ -195,34 +214,27 @@ constexpr E2EConfig kConfigs[] = {
      core::SelectMode::kValueSampling, 0, true},
 };
 
-/// Encodes `stream` under the pinned kernel and returns every post-encode
-/// payload (the exact wire bytes), verifying decode restores the
-/// original along the way.
-std::vector<Bytes> wire_bytes_under(rabin::ScanKernelKind kind,
-                                    const E2EConfig& cfg,
-                                    const Bytes& object) {
-  rabin::ScopedScanKernel pin(kind);
-  core::DreParams params;
-  params.select_mode = cfg.mode;
-  params.epoch_resync = cfg.epoch_resync;
-  cache::CacheConfig cc;
-  cc.l1_bytes = cfg.cache_bytes;
-  core::Encoder enc = test_encoder(cfg.policy, params, cc);
-  core::Decoder dec(params, cc);
-  std::vector<Bytes> wire;
-  for (const auto& pkt : segment_stream(object)) {
-    const Bytes original = pkt->payload;
-    enc.process(*pkt);
-    wire.push_back(pkt->payload);
-    const auto dinfo = dec.process(*pkt);
-    EXPECT_FALSE(core::is_drop(dinfo.status)) << cfg.name;
-    EXPECT_EQ(pkt->payload, original) << cfg.name;
+/// The oracle anchors for `payload` under `params`' selection scheme.
+std::vector<rabin::Anchor> reference_anchors(const rabin::RabinTables& tables,
+                                             util::BytesView payload,
+                                             const core::DreParams& params) {
+  switch (params.select_mode) {
+    case core::SelectMode::kMaxp:
+      return testutil::maxp_reference(tables, payload, params.maxp_p);
+    case core::SelectMode::kSampleByte:
+      return testutil::samplebyte_reference(tables, payload,
+                                            params.samplebyte_period,
+                                            params.samplebyte_skip);
+    case core::SelectMode::kValueSampling:
+      break;
   }
-  enc.audit();
-  dec.audit();
-  return wire;
+  return testutil::value_sampling_reference(tables, payload,
+                                            params.select_bits);
 }
 
+// Every packet of a redundant stream, under every tracked configuration:
+// the anchors both codecs derive from the payload equal the oracle's, and
+// the decoder restores the original bytes from the encoder's wire bytes.
 TEST(ScanKernelEquiv, WireBytesIdenticalAcrossKernelsForEveryConfig) {
   Rng rng(testutil::test_seed(205));
   // Redundant stream (repeated chunks + noise) so real regions, cache
@@ -242,98 +254,29 @@ TEST(ScanKernelEquiv, WireBytesIdenticalAcrossKernelsForEveryConfig) {
   }
 
   for (const E2EConfig& cfg : kConfigs) {
-    const std::vector<Bytes> expected =
-        wire_bytes_under(rabin::ScanKernelKind::kScalar, cfg, object);
-    for (const auto kind : available_kernels()) {
-      if (kind == rabin::ScanKernelKind::kScalar) continue;
-      const std::vector<Bytes> got = wire_bytes_under(kind, cfg, object);
-      ASSERT_EQ(got.size(), expected.size()) << cfg.name;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], expected[i])
-            << cfg.name << " packet " << i << " under kernel "
-            << rabin::scan_kernel(kind).name;
-      }
+    core::DreParams params;
+    params.select_mode = cfg.mode;
+    params.epoch_resync = cfg.epoch_resync;
+    const rabin::RabinTables tables(params.window, params.poly);
+    cache::CacheConfig cc;
+    cc.l1_bytes = cfg.cache_bytes;
+    core::Encoder enc = test_encoder(cfg.policy, params, cc);
+    core::Decoder dec(params, cc);
+    std::size_t encoded = 0;
+    for (const auto& pkt : segment_stream(object)) {
+      const Bytes original = pkt->payload;
+      ASSERT_EQ(core::compute_anchors(tables, original, params),
+                reference_anchors(tables, original, params))
+          << cfg.name;
+      encoded += enc.process(*pkt).encoded ? 1 : 0;
+      const auto dinfo = dec.process(*pkt);
+      ASSERT_FALSE(core::is_drop(dinfo.status)) << cfg.name;
+      ASSERT_EQ(pkt->payload, original) << cfg.name;
     }
+    enc.audit();
+    dec.audit();
+    EXPECT_GT(encoded, 0u) << cfg.name;
   }
-}
-
-// ------------------------------------------------ environment overrides --
-
-/// Restores the scan-kernel environment and re-runs detection on scope
-/// exit, so an override cannot leak into later tests in this binary.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (saved_.empty()) {
-      ::unsetenv(name_);
-    } else {
-      ::setenv(name_, saved_.c_str(), 1);
-    }
-    rabin::refresh_scan_kernel();
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-};
-
-/// What detection yields under the process's *ambient* environment —
-/// the CI scalar-fallback leg runs this whole binary with
-/// BYTECACHE_DISABLE_SIMD=1 exported, so "restored" does not always
-/// mean "best tier".
-rabin::ScanKernelKind ambient_kernel() {
-  rabin::refresh_scan_kernel();
-  return rabin::scan_kernel().kind;
-}
-
-/// What detection falls back to when BYTECACHE_SCAN_KERNEL is absent or
-/// unrecognised: the best supported tier, unless the ambient kill switch
-/// (same non-empty-and-not-"0" rule as scan_kernel.cc) pins scalar.
-rabin::ScanKernelKind detect_fallback() {
-  const char* v = std::getenv("BYTECACHE_DISABLE_SIMD");
-  if (v != nullptr && v[0] != '\0' && std::string(v) != "0") {
-    return rabin::ScanKernelKind::kScalar;
-  }
-  return available_kernels().back();
-}
-
-TEST(ScanKernelEnv, DisableSimdForcesScalar) {
-  const auto ambient = ambient_kernel();
-  {
-    ScopedEnv env("BYTECACHE_DISABLE_SIMD", "1");
-    rabin::refresh_scan_kernel();
-    EXPECT_EQ(rabin::scan_kernel().kind, rabin::ScanKernelKind::kScalar);
-    EXPECT_STREQ(rabin::scan_kernel().name, "scalar");
-  }
-  // Detection re-ran on scope exit: back to the ambient dispatch.
-  EXPECT_EQ(rabin::scan_kernel().kind, ambient);
-}
-
-TEST(ScanKernelEnv, KernelPinSelectsRequestedTier) {
-  const auto ambient = ambient_kernel();
-  {
-    ScopedEnv env("BYTECACHE_SCAN_KERNEL", "scalar");
-    rabin::refresh_scan_kernel();
-    EXPECT_EQ(rabin::scan_kernel().kind, rabin::ScanKernelKind::kScalar);
-  }
-  // An unknown name is ignored (dispatch falls back to detection).
-  {
-    ScopedEnv env("BYTECACHE_SCAN_KERNEL", "avx9000");
-    rabin::refresh_scan_kernel();
-    EXPECT_EQ(rabin::scan_kernel().kind, detect_fallback());
-  }
-  // The kill switch wins over an explicit pin.
-  {
-    ScopedEnv outer("BYTECACHE_SCAN_KERNEL", "avx2");
-    ScopedEnv env("BYTECACHE_DISABLE_SIMD", "1");
-    rabin::refresh_scan_kernel();
-    EXPECT_EQ(rabin::scan_kernel().kind, rabin::ScanKernelKind::kScalar);
-  }
-  EXPECT_EQ(rabin::scan_kernel().kind, ambient);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/factory.h"
 #include "packet/packet.h"
 #include "packet/tcp.h"
+#include "rabin/window.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -78,6 +79,71 @@ inline util::Bytes random_bytes(util::Rng& rng, std::size_t n) {
   util::Bytes b(n);
   for (auto& v : b) v = static_cast<std::uint8_t>(rng.next_u64());
   return b;
+}
+
+/// Naive anchor-selection oracles: every fingerprint recomputed from
+/// scratch with tables.of(), so they share no scan machinery with the
+/// selection code under test.
+
+/// Value sampling: every position whose fingerprint has `bits` low zeros.
+inline std::vector<rabin::Anchor> value_sampling_reference(
+    const rabin::RabinTables& tables, util::BytesView payload,
+    unsigned bits) {
+  std::vector<rabin::Anchor> out;
+  const std::size_t w = tables.window();
+  for (std::size_t i = 0; i + w <= payload.size(); ++i) {
+    const auto fp = tables.of(payload.subspan(i, w));
+    if (rabin::selected(fp, bits)) {
+      out.push_back(rabin::Anchor{static_cast<std::uint16_t>(i), fp});
+    }
+  }
+  return out;
+}
+
+/// MAXP: for every window of `p` consecutive positions, the rightmost
+/// maximum-fingerprint position by direct argmax (O(n*p); no monotonic
+/// queue).
+inline std::vector<rabin::Anchor> maxp_reference(
+    const rabin::RabinTables& tables, util::BytesView payload, std::size_t p) {
+  std::vector<rabin::Anchor> out;
+  const std::size_t w = tables.window();
+  if (payload.size() < w || p == 0) return out;
+  std::vector<rabin::Fingerprint> fps;
+  for (std::size_t i = 0; i + w <= payload.size(); ++i) {
+    fps.push_back(tables.of(payload.subspan(i, w)));
+  }
+  std::size_t last = fps.size();  // sentinel: no anchor emitted yet
+  for (std::size_t end = p - 1; end < fps.size(); ++end) {
+    std::size_t best = end + 1 - p;
+    for (std::size_t j = best + 1; j <= end; ++j) {
+      if (fps[j] >= fps[best]) best = j;  // >=: rightmost wins ties
+    }
+    if (best != last) {
+      last = best;
+      out.push_back(rabin::Anchor{static_cast<std::uint16_t>(best), fps[best]});
+    }
+  }
+  return out;
+}
+
+/// SAMPLEBYTE: a byte-at-a-time walk with the per-byte hash + division
+/// (no membership table), skipping `skip` bytes after each anchor.
+inline std::vector<rabin::Anchor> samplebyte_reference(
+    const rabin::RabinTables& tables, util::BytesView payload,
+    unsigned period, std::size_t skip) {
+  std::vector<rabin::Anchor> out;
+  const std::size_t w = tables.window();
+  for (std::size_t i = 0; i + w <= payload.size();) {
+    std::uint64_t state = payload[i];
+    if (util::splitmix64(state) % period == 0) {
+      out.push_back(rabin::Anchor{static_cast<std::uint16_t>(i),
+                                  tables.of(payload.subspan(i, w))});
+      i += skip > 0 ? skip : 1;
+    } else {
+      ++i;
+    }
+  }
+  return out;
 }
 
 /// Creates an encoder with the given policy kind.

@@ -27,10 +27,11 @@ convention (see DESIGN.md "Performance"):
     "current":  { ... numbers after it, same machine ... }
   }
 
-Each entry is stamped with the scan kernel, CPU flags, and hardware
-thread count that produced it, and merging refuses to put entries from a
-different kernel tier (--allow-kernel-change) or CPU topology
-(--allow-topology-change) side by side: such pairs are not comparisons.
+Each entry is stamped with the CPU flags (which also tell which
+SAMPLEBYTE mask ran: AVX2 or portable) and hardware thread count that
+produced it, and merging refuses to put entries from a different CPU
+topology (--allow-topology-change) side by side: such pairs are not
+comparisons.
 
 `--repeat N` runs each bench binary N times and keeps the fastest
 result per benchmark, which (together with bench_throughput's own
@@ -50,16 +51,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-# ISA extensions relevant to the scan-kernel dispatch (rabin/scan_kernel.h)
-# — recorded per entry so a number can always be traced to the silicon and
-# kernel tier that produced it.
+# ISA extensions relevant to the scan kernels (rabin/scan_kernel.h) —
+# recorded per entry so a number can always be traced to the silicon (and
+# so the mask implementation) that produced it.
 _KERNEL_FLAGS = ("sse2", "avx", "avx2", "avx512f", "bmi2", "neon", "asimd")
 
 
 def detect_cpu_flags():
-    """Returns the dispatch-relevant ISA flags of this machine (Linux:
-    parsed from /proc/cpuinfo; elsewhere: empty — the kernel name still
-    identifies the tier)."""
+    """Returns the scan-relevant ISA flags of this machine (Linux: parsed
+    from /proc/cpuinfo; elsewhere: empty)."""
     try:
         text = Path("/proc/cpuinfo").read_text()
     except OSError:
@@ -71,42 +71,6 @@ def detect_cpu_flags():
     return []
 
 
-def check_kernel_consistency(entry):
-    """All three bench binaries stamp the scan kernel they dispatched; a
-    mismatch means the environment changed between runs (e.g. a
-    BYTECACHE_SCAN_KERNEL override leaked into one process) and the entry
-    would blend incomparable numbers."""
-    kernels = {
-        name: entry[name].get("kernel", "?")
-        for name in ("bench_throughput", "bench_mt_throughput")
-    }
-    kernels["bench_micro_rabin"] = entry["kernel"]
-    if len(set(kernels.values())) != 1:
-        sys.exit(f"bench_json: benches disagree on the scan kernel: {kernels}"
-                 " — did the environment change between runs?")
-
-
-def check_kernel_change(doc, label, entry, allow):
-    """Refuses to merge an entry next to labels measured under a different
-    scan kernel: a before/after pair that silently switched tiers (or
-    machines) is not a comparison.  `--allow-kernel-change` overrides for
-    the one legitimate case — pinning a scalar `baseline` against a SIMD
-    `current` to record the dispatch win itself."""
-    for other_label, other in doc.items():
-        if other_label == label or not isinstance(other, dict):
-            continue
-        other_kernel = other.get("kernel")
-        if other_kernel is None:  # pre-stamping entry: nothing to compare
-            continue
-        if other_kernel != entry["kernel"] and not allow:
-            sys.exit(
-                f"bench_json: label '{other_label}' was measured under the "
-                f"'{other_kernel}' kernel but this run dispatched "
-                f"'{entry['kernel']}'; cross-kernel numbers are not "
-                "comparable — rerun with the same kernel (or pass "
-                "--allow-kernel-change if the tier switch is the point)")
-
-
 def check_topology_change(doc, label, entry, allow):
     """Refuses to merge an entry next to labels measured on a different
     CPU topology: the bench_mt_throughput shard-scaling curve (1/2/4/8
@@ -114,7 +78,7 @@ def check_topology_change(doc, label, entry, allow):
     before/after pair that silently moved machines (or a container that
     changed its CPU quota) records a scaling regression that is really a
     hardware change.  Entries from before hardware_concurrency stamping
-    are skipped, like pre-stamping entries in check_kernel_change.
+    are skipped.
     `--allow-topology-change` overrides for deliberate cross-machine
     comparisons."""
     for other_label, other in doc.items():
@@ -183,7 +147,7 @@ def check_tier_row(entry):
 def self_test():
     """Offline check of the merge gates (no bench binaries needed);
     registered as the bench_json_selftest ctest."""
-    entry = {"kernel": "avx2", "hardware_concurrency": 8}
+    entry = {"hardware_concurrency": 8}
 
     def exits(fn):
         try:
@@ -192,21 +156,13 @@ def self_test():
             return True
         return False
 
-    doc = {"baseline": {"kernel": "scalar", "hardware_concurrency": 8}}
-    assert exits(lambda: check_kernel_change(doc, "current", entry, False)), \
-        "kernel gate must refuse a cross-kernel merge"
-    check_kernel_change(doc, "current", entry, True)  # override allowed
-    check_kernel_change(doc, "baseline", entry, False)  # same label: fine
-    check_kernel_change({"baseline": {}}, "current", entry, False)  # legacy
-
-    doc = {"baseline": {"kernel": "avx2", "hardware_concurrency": 32}}
+    doc = {"baseline": {"hardware_concurrency": 32}}
     assert exits(lambda: check_topology_change(doc, "current", entry, False)), \
         "topology gate must refuse a cross-topology merge"
     check_topology_change(doc, "current", entry, True)  # override allowed
     check_topology_change(doc, "baseline", entry, False)  # same label: fine
     check_topology_change({"baseline": {}}, "current", entry, False)  # legacy
-    same = {"baseline": {"kernel": "avx2", "hardware_concurrency": 8}}
-    check_kernel_change(same, "current", entry, False)
+    same = {"baseline": {"hardware_concurrency": 8}}
     check_topology_change(same, "current", entry, False)
 
     def bt(name, ratio):
@@ -321,14 +277,11 @@ def check_wire_identity(entry):
 
 
 def run_bench_micro_rabin(build, repeat):
-    """Returns ({bench_name: numbers}, dispatched_kernel_name).  The
-    kernel comes from the report context bench_micro_rabin's main()
-    stamps via AddCustomContext."""
+    """Returns {bench_name: numbers}."""
     exe = Path(build) / "bench" / "bench_micro_rabin"
     if not exe.exists():
         sys.exit(f"bench_json: {exe} not found (build the bench targets)")
     out = {}
-    kernel = "?"
     for _ in range(repeat):
         proc = subprocess.run(
             [str(exe), "--benchmark_format=json", "--benchmark_min_time=0.2"],
@@ -336,7 +289,6 @@ def run_bench_micro_rabin(build, repeat):
         if proc.returncode != 0:
             sys.exit(f"bench_json: {exe} failed:\n{proc.stderr}")
         data = json.loads(proc.stdout)
-        kernel = data.get("context", {}).get("scan_kernel", kernel)
         for b in data.get("benchmarks", []):
             entry = {"real_time_ns": round(b.get("real_time", 0.0), 1)}
             if "bytes_per_second" in b:
@@ -346,7 +298,7 @@ def run_bench_micro_rabin(build, repeat):
             prev = out.get(b["name"])
             if prev is None or entry["real_time_ns"] < prev["real_time_ns"]:
                 out[b["name"]] = entry
-    return out, kernel
+    return out
 
 
 def main():
@@ -359,10 +311,6 @@ def main():
                         help="top-level key to write (baseline/current/...)")
     parser.add_argument("--repeat", type=int, default=1,
                         help="run each bench N times, keep the fastest")
-    parser.add_argument("--allow-kernel-change", action="store_true",
-                        help="permit merging next to labels measured under "
-                             "a different scan kernel (deliberate "
-                             "scalar-vs-SIMD comparisons only)")
     parser.add_argument("--allow-wire-change", action="store_true",
                         help="permit merging next to labels whose v1/v2 "
                              "wire_ratio differs (deliberate wire-format "
@@ -383,10 +331,9 @@ def main():
         args.build, "bench_throughput", args.repeat)
     mt_best, _ = run_json_bench(
         args.build, "bench_mt_throughput", args.repeat)
-    micro, micro_kernel = run_bench_micro_rabin(args.build, args.repeat)
+    micro = run_bench_micro_rabin(args.build, args.repeat)
     entry = {
         "machine": platform.machine(),
-        "kernel": micro_kernel,
         "cpu_flags": detect_cpu_flags(),
         # The shard-scaling curve is only meaningful relative to the
         # core count that produced it (check_topology_change).
@@ -395,7 +342,6 @@ def main():
         "bench_mt_throughput": mt_best,
         "bench_micro_rabin": micro,
     }
-    check_kernel_consistency(entry)
     check_tier_row(entry)
     check_wire_identity(entry)
     check_telemetry_overhead(entry, bt_runs)
@@ -404,14 +350,12 @@ def main():
     doc = {}
     if out_path.exists():
         doc = json.loads(out_path.read_text())
-    check_kernel_change(doc, args.label, entry, args.allow_kernel_change)
     check_topology_change(doc, args.label, entry, args.allow_topology_change)
     check_wire_ratio_drift(doc, args.label, entry, args.allow_wire_change)
     doc[args.label] = entry
     out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-    print(f"bench_json: wrote {out_path} [{args.label}] "
-          f"(kernel={entry['kernel']})")
+    print(f"bench_json: wrote {out_path} [{args.label}]")
     for bench in ("bench_throughput", "bench_mt_throughput"):
         for r in entry[bench]["results"]:
             print(f"  {r['name']:32s} {r['mb_per_s']:8.2f} MB/s "
